@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.agents.base import Agent, AgentConfig, HandlerResult
 from repro.agents.broker import RecommendRequest
@@ -55,7 +55,7 @@ from repro.ontology.service import (
     SyntacticInfo,
 )
 from repro.relational.fragmentation import join_on_key, union_all
-from repro.relational.schema import Column, Schema
+from repro.relational.schema import Column, Schema, SchemaError
 from repro.relational.table import Table
 from repro.sql.ast import Select, predicate_columns
 from repro.sql.errors import SqlError
@@ -181,6 +181,14 @@ class ProviderHealth:
         return base * (cfg.failure_penalty ** min(self.consecutive_failures, 6))
 
 
+class _Answer(NamedTuple):
+    """A provider's reply, validated once where it entered the MRQ."""
+
+    provider: str
+    table: Table
+    rows_scanned: int
+
+
 @dataclass
 class _Plan:
     """In-flight state of one decomposed user query (legacy fan-out)."""
@@ -189,7 +197,7 @@ class _Plan:
     select: Select
     ontology: Optional[Ontology] = None
     pushed_down: Dict[str, bool] = field(default_factory=dict)
-    results: List[Tuple[str, QueryResult]] = field(default_factory=list)
+    results: List[_Answer] = field(default_factory=list)
     outstanding: int = 0
     failures: List[Tuple[str, str]] = field(default_factory=list)
     fragment_ids: Dict[str, str] = field(default_factory=dict)
@@ -219,7 +227,7 @@ class _FragmentRun:
     outstanding: Dict[str, Tuple[str, float]] = field(default_factory=dict)
     failures: List[Tuple[str, str]] = field(default_factory=list)
     winner: Optional[str] = None
-    answer: Optional[QueryResult] = None
+    answer: Optional[_Answer] = None
     hedged: bool = False
     exhausted: bool = False
 
@@ -767,12 +775,13 @@ class MultiResourceQueryAgent(Agent):
         obs = self.observer
         health = self.provider_health.setdefault(provider, ProviderHealth())
 
-        if reply is not None and reply.performative is Performative.TELL:
+        answer, reason = _receive(provider, reply)
+        if answer is not None:
             latency = now - sent_at
             health.record_success(latency, cfg)
             self._latency_samples.append(latency)
             run.winner = provider
-            run.answer = reply.content
+            run.answer = answer
             # First reply wins: abandon the losing duplicate(s).
             for other, (other_id, _sent) in list(run.outstanding.items()):
                 self.cancel_ask(other_id)
@@ -785,7 +794,6 @@ class MultiResourceQueryAgent(Agent):
             self._maybe_assemble(execution, result)
             return
 
-        reason = _failure_reason(reply)
         retry_after = reply.extra("retry-after") if reply is not None else None
         health.record_failure(reason, now, cfg, retry_after)
         run.failures.append((provider, reason))
@@ -847,11 +855,13 @@ class MultiResourceQueryAgent(Agent):
             return
         if self._executions.pop(execution.exec_id, None) is None:
             return
-        results = [
-            (run.winner, run.answer)
-            for run in execution.runs
-            if run.winner is not None
-        ]
+        results, rejected = _admit(
+            [run.answer for run in execution.runs if run.winner is not None]
+        )
+        for answer, reason in rejected:
+            run = next(r for r in execution.runs if r.answer is answer)
+            run.failures.append((run.winner, reason))
+            run.winner = run.answer = None
         pushed_down = {
             run.winner: run.fragment.pushed_down
             for run in execution.runs
@@ -902,15 +912,20 @@ class MultiResourceQueryAgent(Agent):
     def _collect(
         self, plan: _Plan, resource: str, reply: Optional[KqmlMessage], result: HandlerResult
     ) -> None:
-        if reply is not None and reply.performative is Performative.TELL:
-            plan.results.append((resource, reply.content))
+        answer, reason = _receive(resource, reply)
+        if answer is not None:
+            plan.results.append(answer)
         else:
-            plan.failures.append((resource, _failure_reason(reply)))
+            plan.failures.append((resource, reason))
         plan.outstanding -= 1
         if plan.outstanding == 0:
             self._assemble(plan, result)
 
     def _assemble(self, plan: _Plan, result: HandlerResult) -> None:
+        plan.results, rejected = _admit(plan.results)
+        plan.failures.extend(
+            (answer.provider, reason) for answer, reason in rejected
+        )
         if not plan.results:
             extras = {}
             if plan.failures:
@@ -936,7 +951,7 @@ class MultiResourceQueryAgent(Agent):
             # even when a same-shaped sibling succeeded.  The detail
             # distinguishes fragment shapes with no surviving provider.
             succeeded_ids = {
-                plan.fragment_ids.get(name) for name, _ in plan.results
+                plan.fragment_ids.get(answer.provider) for answer in plan.results
             }
             failures = [
                 (name, plan.fragment_ids.get(name, "?"), reason)
@@ -968,29 +983,36 @@ class MultiResourceQueryAgent(Agent):
         original: KqmlMessage,
         select: Select,
         ontology: Optional[Ontology],
-        results: List[Tuple[str, QueryResult]],
+        answers: List[_Answer],
         pushed_down: Dict[str, bool],
         partial_extras: Dict[str, object],
         result: HandlerResult,
     ) -> None:
+        # Every row was validated once on arrival and the answers agree on
+        # column types (_admit), so the algebra below re-validates and
+        # copies nothing; only the final projection builds new rows.
         key = self._query_key(select, ontology)
         groups: Dict[frozenset, List[Table]] = {}
         total_bytes = 0
-        for index, (resource, query_result) in enumerate(results):
-            total_bytes += query_result.bytes_returned
-            table = _table_from_result(f"r{index}", query_result)
-            groups.setdefault(frozenset(query_result.columns), []).append(table)
+        for answer in answers:
+            total_bytes += answer.table.size_bytes()
+            groups.setdefault(frozenset(answer.table.schema.names), []).append(
+                answer.table
+            )
 
         shapes = [union_all(tables, name=f"shape{i}") for i, tables in
                   enumerate(groups.values())]
         if len(shapes) == 1:
             assembled = shapes[0]
+            if key is not None and key in assembled.schema:
+                # Replicated resources return the same rows: one per key.
+                assembled = _rekey(assembled, key)
         elif key is not None and all(key in t.schema for t in shapes):
             assembled = join_on_key([_rekey(t, key) for t in shapes])
         else:
             assembled = union_all(shapes, name="assembled")
 
-        rows = list(assembled.rows())
+        rows = list(assembled.rows_view())
         where = select.where
         if where is not None and not all(pushed_down.values()):
             rows = [row for row in rows if evaluate_predicate(where, row)]
@@ -1006,7 +1028,7 @@ class MultiResourceQueryAgent(Agent):
             {name: row.get(name) for name in columns} for row in rows
         )
         final = QueryResult(columns=tuple(columns), rows=projected,
-                            rows_scanned=sum(qr.rows_scanned for _, qr in results))
+                            rows_scanned=sum(a.rows_scanned for a in answers))
 
         result.cost_seconds += self.cost_model.resource_query_seconds(
             total_bytes / 1_000_000.0
@@ -1081,36 +1103,115 @@ def _partial_detail(
     }
 
 
+def _receive(
+    provider: str, reply: Optional[KqmlMessage]
+) -> Tuple[Optional[_Answer], Optional[str]]:
+    """Validate a sub-query reply once, where it enters the MRQ: the
+    answer, or ``None`` and the reason the provider counts as failed."""
+    if reply is None or reply.performative is not Performative.TELL:
+        return None, _failure_reason(reply)
+    content = reply.content
+    if not isinstance(content, QueryResult):
+        return None, "invalid:reply is not a query result"
+    try:
+        table = _table_from_result(provider, content)
+    except SchemaError as exc:
+        return None, f"invalid:{exc}"
+    return _Answer(provider, table, content.rows_scanned), None
+
+
 def _table_from_result(name: str, query_result: QueryResult) -> Table:
-    """Materialize a resource's reply as a typed table (types inferred)."""
-    columns = []
-    for column in query_result.columns:
-        col_type = "string"
-        for row in query_result.rows:
-            value = row.get(column)
-            if value is None:
-                continue
-            if isinstance(value, bool):
-                col_type = "bool"
-            elif isinstance(value, (int, float)):
-                col_type = "number"
-            break
-        columns.append(Column(column, col_type))
-    table = Table(name, Schema(tuple(columns)))
-    for row in query_result.rows:
-        table.insert(row)
-    return table
+    """Materialize a resource's reply as a typed table (types inferred
+    from each column's first non-null value).  Each row is validated
+    here, once, and stored without a copy when it holds every column.
+    Raises :class:`SchemaError` for unknown columns or mistyped values."""
+    rows = query_result.rows
+    if not all(isinstance(row, dict) for row in rows):
+        raise SchemaError("reply rows must be mappings")
+    schema = Schema(tuple(
+        Column(column, _inferred_type(_first_value(rows, column)))
+        for column in query_result.columns
+    ))
+    schema.validate_rows(rows)
+    # No row names an unknown column, so the lengths fall short of the
+    # full width exactly when some row omits a column: fill those in.
+    if sum(map(len, rows)) != len(schema.columns) * len(rows):
+        rows = [{name: row.get(name) for name in schema.names} for row in rows]
+    return Table.from_valid_rows(name, schema, rows)
+
+
+def _first_value(rows, column: str):
+    """The first non-null value of *column*, or None."""
+    for row in rows:
+        value = row.get(column)
+        if value is not None:
+            return value
+    return None
+
+
+def _inferred_type(value) -> str:
+    if isinstance(value, bool):
+        return "bool"
+    if isinstance(value, (int, float)):
+        return "number"
+    return "string"
+
+
+def _admit(answers: List[_Answer]) -> Tuple[List[_Answer], List[Tuple[_Answer, str]]]:
+    """Check the answers against each other: a column's type is set by
+    the first answer holding a non-null value in it, and a later answer
+    whose values there have another type is rejected (a provider
+    failure, with the reason).  Columns holding only nulls agree with
+    any type; the kept answers declare the agreed type for them, so
+    reassembly finds matching declarations everywhere."""
+    agreed: Dict[str, Column] = {}
+    kept: List[_Answer] = []
+    rejected: List[Tuple[_Answer, str]] = []
+    for answer in answers:
+        typed = []  # (column, its first non-null value)
+        for col in answer.table.schema.columns:
+            value = _first_value(answer.table.rows_view(), col.name)
+            if value is not None:
+                typed.append((col, value))
+        clash = _type_clash(typed, agreed)
+        if clash is not None:
+            rejected.append((answer, clash))
+            continue
+        for col, _value in typed:
+            agreed.setdefault(col.name, col)
+        kept.append(answer)
+    return [_retyped(answer, agreed) for answer in kept], rejected
+
+
+def _type_clash(typed, agreed: Dict[str, Column]) -> Optional[str]:
+    for col, value in typed:
+        other = agreed.get(col.name)
+        if other is not None and other.col_type != col.col_type:
+            return f"invalid:column {col.name!r} ({other.col_type}) rejects {value!r}"
+    return None
+
+
+def _retyped(answer: _Answer, agreed: Dict[str, Column]) -> _Answer:
+    """*answer* with its null-only columns declared as the agreed type."""
+    schema = answer.table.schema
+    columns = tuple(agreed.get(col.name, col) for col in schema.columns)
+    if columns == schema.columns:
+        return answer
+    table = Table.from_valid_rows(
+        answer.table.name, Schema(columns), answer.table.rows_view()
+    )
+    return answer._replace(table=table)
 
 
 def _rekey(table: Table, key: str) -> Table:
-    """A copy of *table* whose schema declares *key* (deduplicating rows
-    that collide on the key, which replicated resources can produce)."""
-    rekeyed = Table(table.name, Schema(table.schema.columns, key=key))
-    seen = set()
-    for row in table.rows():
+    """A copy of *table* whose schema declares *key*, keeping each key's
+    first row (replicated resources return the same rows) and dropping
+    rows without a key.  Rows are shared, not copied."""
+    first: Dict[object, dict] = {}
+    for row in table.rows_view():
         value = row.get(key)
-        if value in seen or value is None:
-            continue
-        seen.add(value)
-        rekeyed.insert(row)
-    return rekeyed
+        if value is not None:
+            first.setdefault(value, row)
+    return Table.from_valid_rows(
+        table.name, Schema(table.schema.columns, key=key), first.values()
+    )

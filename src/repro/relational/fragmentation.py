@@ -113,28 +113,27 @@ def join_on_key(fragments: Sequence[Table]) -> Table:
     if key is None or any(f.schema.key != key for f in fragments):
         raise TableError("all fragments must share the same key column")
 
-    columns: List[Column] = []
-    seen = set()
+    columns: Dict[str, Column] = {}
     for fragment in fragments:
         for col in fragment.schema.columns:
-            if col.name not in seen:
-                columns.append(col)
-                seen.add(col.name)
-    schema = Schema(tuple(columns), key=key)
+            columns.setdefault(col.name, col)
+    schema = Schema(tuple(columns.values()), key=key)
 
     merged: Dict[object, dict] = {}
-    order: List[object] = []
     for fragment in fragments:
-        for row in fragment.rows():
+        for row in fragment.rows_view():
             key_value = row[key]
             if key_value not in merged:
-                merged[key_value] = {c.name: None for c in columns}
-                order.append(key_value)
+                merged[key_value] = dict.fromkeys(columns)
             merged[key_value].update(row)
 
     result = Table(f"join({', '.join(f.name for f in fragments)})", schema)
-    for key_value in order:
-        result.insert(merged[key_value])
+    if all(_types_agree(f.schema, columns) for f in fragments):
+        # Every value already passed a column of the output's type.
+        result._extend_valid(merged.values())
+    else:
+        for row in merged.values():
+            result.insert(row)
     return result
 
 
@@ -155,9 +154,26 @@ def union_all(tables: Sequence[Table], name: str = "union") -> Table:
     ]
     if not shared:
         raise TableError("tables share no columns")
-    columns = tuple(tables[0].schema.column(n) for n in shared)
-    result = Table(name, Schema(columns, key=None))
+    columns = {n: tables[0].schema.column(n) for n in shared}
+    result = Table(name, Schema(tuple(columns.values()), key=None))
+    shared_names = result.schema.names
     for table in tables:
-        for row in table.rows():
-            result.insert({col: row[col] for col in shared})
+        rows = table.rows_view()
+        if table.schema.names != shared_names:
+            rows = ({col: row[col] for col in shared_names} for row in rows)
+        if _types_agree(table.schema, columns):
+            result._extend_valid(rows)
+        else:
+            for row in rows:
+                result.insert(row)
     return result
+
+
+def _types_agree(schema: Schema, columns: Dict[str, Column]) -> bool:
+    """True when every column of *schema* that *columns* also names has
+    the same declared type there, so its values need no re-validation."""
+    for col in schema.columns:
+        out = columns.get(col.name)
+        if out is not None and out.col_type != col.col_type:
+            return False
+    return True

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.ontology.model import Ontology
 
@@ -31,10 +31,14 @@ class Column:
             raise SchemaError("column name must be non-empty")
         if self.col_type not in _PYTHON_TYPES:
             raise SchemaError(f"unknown column type {self.col_type!r}")
+        # Exact value types accepted without the isinstance fallback (not
+        # a dataclass field: equality and hashing stay name + type).
+        object.__setattr__(
+            self, "_exact", frozenset((type(None), *_PYTHON_TYPES[self.col_type])))
 
     def accepts(self, value) -> bool:
-        if value is None:
-            return True  # SQL-style nullable columns
+        if type(value) in self._exact:
+            return True  # includes None: SQL-style nullable columns
         if self.col_type == "number" and isinstance(value, bool):
             return False
         return isinstance(value, _PYTHON_TYPES[self.col_type])
@@ -42,7 +46,10 @@ class Column:
 
 @dataclass(frozen=True)
 class Schema:
-    """An ordered set of columns with an optional key column."""
+    """An ordered set of columns with an optional key column.
+
+    ``names`` is the tuple of column names, in order.
+    """
 
     columns: Tuple[Column, ...]
     key: Optional[str] = None
@@ -52,11 +59,19 @@ class Schema:
             object.__setattr__(self, "columns", tuple(self.columns))
         if not self.columns:
             raise SchemaError("schema needs at least one column")
-        names = [c.name for c in self.columns]
-        if len(names) != len(set(names)):
+        names = tuple(c.name for c in self.columns)
+        by_name: Dict[str, Column] = {c.name: c for c in self.columns}
+        if len(names) != len(by_name):
             raise SchemaError("duplicate column names")
-        if self.key is not None and self.key not in names:
+        if self.key is not None and self.key not in by_name:
             raise SchemaError(f"key {self.key!r} is not a column")
+        # Lookup caches, computed once (not dataclass fields: equality,
+        # hashing and repr stay columns + key).
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "_name_set", frozenset(names))
+        object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(
+            self, "_checks", tuple((c.name, c._exact, c) for c in self.columns))
 
     @classmethod
     def from_class(cls, ontology: Ontology, class_name: str) -> "Schema":
@@ -66,16 +81,16 @@ class Schema:
         return cls(columns, key=ontology.key_of(class_name))
 
     def column_names(self) -> List[str]:
-        return [c.name for c in self.columns]
+        return list(self.names)
 
     def column(self, name: str) -> Column:
-        for col in self.columns:
-            if col.name == name:
-                return col
-        raise SchemaError(f"no column named {name!r}")
+        col = self._by_name.get(name)
+        if col is None:
+            raise SchemaError(f"no column named {name!r}")
+        return col
 
     def __contains__(self, name: str) -> bool:
-        return any(c.name == name for c in self.columns)
+        return name in self._name_set
 
     def project(self, names: List[str]) -> "Schema":
         """A schema with only *names*, keeping the key if it survives."""
@@ -84,12 +99,20 @@ class Schema:
         return Schema(columns, key=key)
 
     def validate_row(self, row: dict) -> None:
-        for col in self.columns:
-            if col.name in row and not col.accepts(row[col.name]):
-                raise SchemaError(
-                    f"column {col.name!r} ({col.col_type}) rejects "
-                    f"{row[col.name]!r}"
-                )
-        unknown = set(row) - set(self.column_names())
-        if unknown:
-            raise SchemaError(f"row has unknown columns: {sorted(unknown)}")
+        self.validate_rows((row,))
+
+    def validate_rows(self, rows: Iterable[dict]) -> None:
+        """Check each row in order: every value present must be accepted
+        by its column, and no row may name an unknown column."""
+        checks, known = self._checks, self._name_set
+        for row in rows:
+            for name, exact, col in checks:
+                if name in row:
+                    value = row[name]
+                    if type(value) not in exact and not col.accepts(value):
+                        raise SchemaError(
+                            f"column {name!r} ({col.col_type}) rejects {value!r}"
+                        )
+            if not known.issuperset(row):
+                unknown = set(row) - known
+                raise SchemaError(f"row has unknown columns: {sorted(unknown)}")

@@ -19,6 +19,9 @@ BYTES_PER_CELL = 32
 class Table:
     """A named, schema-validated collection of rows (dicts).
 
+    Stored rows are never modified in place, so tables built with
+    :meth:`from_valid_rows` may share row dicts with their inputs.
+
     >>> from repro.relational.schema import Column, Schema
     >>> t = Table("t", Schema((Column("id", "number"), Column("v", "number")), key="id"))
     >>> t.insert({"id": 1, "v": 10})
@@ -39,17 +42,38 @@ class Table:
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
+    @classmethod
+    def from_valid_rows(cls, name: str, schema: Schema, rows: Iterable[dict]) -> "Table":
+        """A table holding *rows* as they are, without copying them.
+
+        The caller guarantees that every row already holds exactly the
+        schema's columns with values the schema accepts; only the key
+        (present and unique) is still checked.
+        """
+        table = cls(name, schema)
+        table._extend_valid(rows)
+        return table
+
     def insert(self, row: dict) -> None:
         self.schema.validate_row(row)
-        stored = {name: row.get(name) for name in self.schema.column_names()}
-        if self.schema.key is not None:
-            key = stored.get(self.schema.key)
+        self._extend_valid(({name: row.get(name) for name in self.schema.names},))
+
+    def _extend_valid(self, rows: Iterable[dict]) -> None:
+        """Store already-validated rows as they are (see from_valid_rows),
+        checking only that each key is present and unique."""
+        key_column = self.schema.key
+        if key_column is None:
+            self._rows.extend(rows)
+            return
+        stored, index = self._rows, self._key_index
+        for row in rows:
+            key = row.get(key_column)
             if key is None:
-                raise TableError(f"row missing key {self.schema.key!r}")
-            if key in self._key_index:
+                raise TableError(f"row missing key {key_column!r}")
+            if key in index:
                 raise TableError(f"duplicate key {key!r} in table {self.name!r}")
-            self._key_index[key] = len(self._rows)
-        self._rows.append(stored)
+            index[key] = len(stored)
+            stored.append(row)
 
     def insert_many(self, rows: Iterable[dict]) -> None:
         for row in rows:
@@ -65,6 +89,14 @@ class Table:
     def rows(self) -> Iterator[dict]:
         """Iterate over copies of the stored rows."""
         return (dict(row) for row in self._rows)
+
+    def rows_view(self) -> Iterator[dict]:
+        """Iterate over the stored rows themselves, without copying.
+
+        For read-only consumers inside the program (query execution and
+        reassembly); the rows must not be modified.
+        """
+        return iter(self._rows)
 
     def lookup(self, key_value) -> Optional[dict]:
         """Key lookup (O(1)); None when absent or the table has no key."""

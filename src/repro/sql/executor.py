@@ -108,7 +108,7 @@ def execute_select(select: Select, catalog: Mapping[str, Table]) -> QueryResult:
         raise SqlExecutionError(f"unknown table {select.table!r}")
 
     if select.columns is None:
-        columns = tuple(table.schema.column_names())
+        columns = table.schema.names
     else:
         for name in select.columns:
             if name not in table.schema:
@@ -117,12 +117,13 @@ def execute_select(select: Select, catalog: Mapping[str, Table]) -> QueryResult:
                 )
         columns = select.columns
 
-    matched: List[dict] = []
-    scanned = 0
-    for row in table.rows():
-        scanned += 1
-        if select.where is None or evaluate_predicate(select.where, row):
-            matched.append(row)
+    # Filter the stored rows in place; only the projection below copies.
+    where = select.where
+    if where is None:
+        matched = list(table.rows_view())
+    else:
+        matched = [row for row in table.rows_view() if evaluate_predicate(where, row)]
+    scanned = table.row_count
 
     if select.order_by is not None:
         key = select.order_by.column

@@ -163,6 +163,14 @@ class TestVerticalFragmentation:
         with pytest.raises(TableError):
             join_on_key([Table("a", schema1), Table("b", schema2)])
 
+    def test_join_with_disagreeing_types_still_validates(self):
+        left = Table("a", Schema((Column("id", "number"), Column("v", "number")),
+                                 key="id"), [{"id": 1, "v": 1}])
+        right = Table("b", Schema((Column("id", "number"), Column("v", "string")),
+                                  key="id"), [{"id": 1, "v": "x"}])
+        with pytest.raises(SchemaError):
+            join_on_key([left, right])
+
 
 class TestHorizontalFragmentationAndUnion:
     def test_round_robin_split(self):
@@ -190,6 +198,16 @@ class TestHorizontalFragmentationAndUnion:
         s2 = Schema((Column("y", "number"),))
         with pytest.raises(TableError):
             union_all([Table("a", s1), Table("b", s2)])
+
+    def test_union_with_disagreeing_types_still_validates(self):
+        numbers = Table("a", Schema((Column("id", "number"), Column("v", "number"))),
+                        [{"id": 1, "v": 1}])
+        strings = Table("b", Schema((Column("id", "number"), Column("v", "string"))),
+                        [{"id": 2, "v": "x"}])
+        with pytest.raises(SchemaError):
+            union_all([numbers, strings])
+        with pytest.raises(SchemaError):
+            union_all([strings, numbers])
 
 
 class TestGeneration:
