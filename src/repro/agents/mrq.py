@@ -17,18 +17,25 @@ holds every predicate column; otherwise the MRQ fetches the needed
 columns and filters after assembly, so fragmented predicates still
 evaluate correctly.
 
-Resilient execution (opt-in via :class:`MrqResilienceConfig`) splits the
-fan-out into a *planner* that groups recommended resources into
-equivalence sets per query fragment — same rewritten sub-query, same
-advertised constraints, optionally confirmed by the broker's
-``equivalence`` hint — and an *executor* that sends each fragment to the
-best-scored provider, fails over to the next-ranked one on timeout /
-``sorry`` / overload shed, and optionally hedges stragglers with a
-duplicate sub-query to the runner-up (first reply wins).  Per-provider
-health (latency EWMA, failure streaks, breaker state) persists across
-queries.  Whatever the mode, answers assembled with fragments missing
-carry a ``:partial`` annotation with machine-readable detail instead of
-masquerading as complete.
+One executor runs every query; a *planner* first turns the broker's
+recommendation into fragments, each a rewritten sub-query plus the
+providers that can answer it.  There are two plans:
+
+* the *fan-out plan* (no :class:`MrqResilienceConfig`, or one with
+  failover and hedging off) makes one fragment per usable recommended
+  resource — the paper's query-every-match flow;
+* the *equivalence plan* groups interchangeable resources into one
+  fragment — same rewritten sub-query, same advertised constraints,
+  confirmed by the broker's ``equivalence`` hint — so the executor can
+  fail over to the next-ranked provider on timeout / ``sorry`` /
+  overload shed, and optionally hedge stragglers with a duplicate
+  sub-query to the runner-up (first reply wins).
+
+The executor sends each fragment to its best-scored provider and keeps
+per-provider health (latency EWMA, failure streaks, breaker state)
+across queries.  Under either plan, answers assembled with fragments
+missing carry a ``:partial`` annotation with machine-readable detail
+instead of masquerading as complete.
 """
 
 from __future__ import annotations
@@ -70,11 +77,11 @@ from repro.sql.render import render_select
 
 @dataclass(frozen=True)
 class MrqResilienceConfig:
-    """Opt-in resilient execution knobs (ZBroker-style server selection).
+    """Resilient execution knobs (ZBroker-style server selection).
 
-    The default-constructed config enables failover only; a ``None``
-    resilience config on the agent (the default) keeps the legacy
-    query-every-match fan-out byte-identical to previous behaviour.
+    The default-constructed config enables failover only.  A config with
+    failover and hedging both off, like ``None`` on the agent (the
+    default), selects the query-every-match fan-out plan.
     """
 
     #: Send each fragment to the best provider and retry the next-ranked
@@ -189,28 +196,19 @@ class _Answer(NamedTuple):
     rows_scanned: int
 
 
-@dataclass
-class _Plan:
-    """In-flight state of one decomposed user query (legacy fan-out)."""
-
-    original: KqmlMessage
-    select: Select
-    ontology: Optional[Ontology] = None
-    pushed_down: Dict[str, bool] = field(default_factory=dict)
-    results: List[_Answer] = field(default_factory=list)
-    outstanding: int = 0
-    failures: List[Tuple[str, str]] = field(default_factory=list)
-    fragment_ids: Dict[str, str] = field(default_factory=dict)
-    brokers_tried: Tuple[str, ...] = ()
+#: The fan-out plan's policy.  Each fragment has one provider, so there is
+#: nothing to fail over to or hedge with; only the health bookkeeping
+#: reads it.
+_FANOUT = MrqResilienceConfig(failover=False)
 
 
 @dataclass
 class _Fragment:
-    """One equivalence set: a rewritten sub-query plus the interchangeable
-    providers that can answer it (broker-rank order preserved)."""
+    """A rewritten sub-query plus the providers that can answer it: one
+    in the fan-out plan, an equivalence set of interchangeable ones
+    otherwise (broker-rank order preserved)."""
 
     fragment_id: str
-    sub_select: Select
     rendered: str
     providers: List[str]
     pushed_down: bool
@@ -238,13 +236,19 @@ class _FragmentRun:
 
 @dataclass
 class _Execution:
-    """One resilient query execution across its fragments."""
+    """One user query, from the broker's recommendation to its answer."""
 
-    exec_id: int
     original: KqmlMessage
     select: Select
     ontology: Optional[Ontology]
-    runs: List[_FragmentRun]
+    brokers_tried: Tuple[str, ...]
+    #: The fan-out plan (one fragment per recommended resource) rather
+    #: than the equivalence plan.
+    fanout: bool
+    exec_id: int = 0
+    runs: List[_FragmentRun] = field(default_factory=list)
+    #: Runs that won an answer, in the order the answers arrived.
+    answered: List[_FragmentRun] = field(default_factory=list)
 
 
 class MultiResourceQueryAgent(Agent):
@@ -281,7 +285,9 @@ class MultiResourceQueryAgent(Agent):
         self.ontology_retry_interval = ontology_retry_interval
         self.ontologies_fetched = 0
         self.queries_processed = 0
-        #: None = legacy query-every-match fan-out (byte-identical).
+        #: Selects the plan: None or a config with failover and hedging
+        #: off runs the query-every-match fan-out plan, an active config
+        #: the equivalence plan with its failover/hedging policy.
         self.resilience = resilience
         #: Resource name -> observed health, persisted across queries.
         self.provider_health: Dict[str, ProviderHealth] = {}
@@ -435,7 +441,11 @@ class MultiResourceQueryAgent(Agent):
             # Thread the requester's remaining budget through the
             # decomposition: the broker (and the bus) shed dead work.
             recommend_extras["x-deadline"] = deadline
-        if self.resilience is not None and self.resilience.active:
+        execution = _Execution(original=message, select=select,
+                               ontology=ontology,
+                               brokers_tried=(*brokers_tried, broker),
+                               fanout=not self._policy.active)
+        if not execution.fanout:
             # Ask the broker to annotate which matches are interchangeable.
             recommend_extras["x-equivalence"] = "1"
         recommend = KqmlMessage(
@@ -446,13 +456,19 @@ class MultiResourceQueryAgent(Agent):
             ontology="service",
             extras=recommend_extras,
         )
-        plan = _Plan(original=message, select=select, ontology=ontology,
-                     brokers_tried=(*brokers_tried, broker))
         self.ask(
             recommend,
-            lambda reply, res, plan=plan: self._resources_found(plan, reply, res),
+            lambda reply, res, e=execution: self._resources_found(e, reply, res),
             result,
         )
+
+    @property
+    def _policy(self) -> MrqResilienceConfig:
+        """The active resilience config, else the fan-out plan's."""
+        resilience = self.resilience
+        if resilience is not None and resilience.active:
+            return resilience
+        return _FANOUT
 
     def _pick_broker(self) -> Optional[str]:
         if self.connected_broker_list:
@@ -468,79 +484,42 @@ class MultiResourceQueryAgent(Agent):
         return None
 
     # ------------------------------------------------------------------
-    # fan-out
+    # the broker's recommendation
     # ------------------------------------------------------------------
     def _resources_found(
-        self, plan: _Plan, reply: Optional[KqmlMessage], result: HandlerResult
+        self,
+        execution: _Execution,
+        reply: Optional[KqmlMessage],
+        result: HandlerResult,
     ) -> None:
-        if reply is None or reply.performative is not Performative.TELL:
-            # The broker died or refused: fail over to the next known
-            # broker instead of treating one broker as a single point of
+        matches = _match_list(reply)
+        if matches is None:
+            # The broker died, refused, or answered with something other
+            # than a match list: fail over to the next known broker
+            # instead of treating one broker as a single point of
             # failure.  An empty *match list* from a live broker is a
             # semantic answer and is not retried.
-            next_broker = self._next_broker(plan.brokers_tried)
+            next_broker = self._next_broker(execution.brokers_tried)
             if next_broker is not None:
                 obs = self.observer
                 if obs.enabled:
                     obs.inc("mrq.broker_failover.count")
-                    obs.annotate(self.bus.now, plan.original, "mrq-broker-failover",
-                                 failed=plan.brokers_tried[-1], next=next_broker)
-                self._dispatch_query(plan.original, plan.select, next_broker,
-                                     result, brokers_tried=plan.brokers_tried)
+                    obs.annotate(self.bus.now, execution.original,
+                                 "mrq-broker-failover",
+                                 failed=execution.brokers_tried[-1],
+                                 next=next_broker)
+                self._dispatch_query(execution.original, execution.select,
+                                     next_broker, result,
+                                     brokers_tried=execution.brokers_tried)
                 return
-            matches: List[Match] = []
-        else:
-            matches = list(reply.content)
+            matches = []
         if not matches:
             result.send(
-                plan.original.reply(Performative.SORRY, content="no matching resources")
+                execution.original.reply(Performative.SORRY,
+                                         content="no matching resources")
             )
             return
-
-        if self.resilience is not None and self.resilience.active:
-            self._execute_resilient(plan, matches, reply, result)
-            return
-
-        sent = 0
-        for match in matches:
-            sub_select = self._rewrite_for(match, plan.select, plan.ontology)
-            if sub_select is None:
-                continue
-            plan.pushed_down[match.agent_name] = sub_select.where is not None
-            plan.fragment_ids[match.agent_name] = _fragment_label(sub_select)
-            ask_extras = {
-                "complexity": plan.original.extra("complexity", 1.0),
-            }
-            deadline = plan.original.extra("x-deadline")
-            if deadline is not None:
-                ask_extras["x-deadline"] = deadline
-            ask = KqmlMessage(
-                Performative.ASK_ALL,
-                sender=self.name,
-                receiver=match.agent_name,
-                content=render_select(sub_select),
-                language="SQL 2.0",
-                extras=ask_extras,
-            )
-            self.ask(
-                ask,
-                lambda r, res, plan=plan, name=match.agent_name: self._collect(
-                    plan, name, r, res
-                ),
-                result,
-            )
-            sent += 1
-        if sent == 0:
-            result.send(
-                plan.original.reply(Performative.SORRY, content="no usable resources")
-            )
-            return
-        plan.outstanding = sent
-        obs = self.observer
-        if obs.enabled:
-            obs.observe("mrq.fanout", float(sent))
-            obs.annotate(self.bus.now, plan.original, "mrq-fanout",
-                         resources=sent, recommended=len(matches))
+        self._execute(execution, matches, reply, result)
 
     def _rewrite_for(
         self, match: Match, select: Select, ontology: Optional[Ontology]
@@ -600,32 +579,38 @@ class MultiResourceQueryAgent(Agent):
         return needed
 
     # ------------------------------------------------------------------
-    # resilient execution: planner
+    # planner
     # ------------------------------------------------------------------
     def _plan_fragments(
         self,
         matches: List[Match],
         select: Select,
         ontology: Optional[Ontology],
-        hints: Dict[str, int],
+        hints: Optional[Dict[str, int]],
     ) -> List[_Fragment]:
-        """Group matches into equivalence sets: providers whose rewritten
-        sub-query AND advertised constraints agree are interchangeable,
-        confirmed by the broker's ``equivalence`` hint when present."""
-        fragments: Dict[tuple, _Fragment] = {}
-        for match in matches:
+        """The fragments to execute, in broker order.
+
+        With *hints* None (the fan-out plan) every usable match is a
+        fragment of its own.  Otherwise matches form equivalence sets:
+        providers whose rewritten sub-query AND advertised constraints
+        agree are interchangeable, confirmed by the broker's
+        ``equivalence`` hint when present."""
+        fragments: Dict[object, _Fragment] = {}
+        for index, match in enumerate(matches):
             sub_select = self._rewrite_for(match, select, ontology)
             if sub_select is None:
                 continue
             rendered = render_select(sub_select)
-            content = match.advertisement.description.content
-            key = (hints.get(match.agent_name), rendered,
-                   content.constraints.cache_key())
+            if hints is None:
+                key: object = index
+            else:
+                content = match.advertisement.description.content
+                key = (hints.get(match.agent_name), rendered,
+                       content.constraints.cache_key())
             fragment = fragments.get(key)
             if fragment is None:
                 fragment = _Fragment(
                     fragment_id=_fragment_label(sub_select),
-                    sub_select=sub_select,
                     rendered=rendered,
                     providers=[],
                     pushed_down=sub_select.where is not None,
@@ -633,49 +618,50 @@ class MultiResourceQueryAgent(Agent):
                 fragments[key] = fragment
             fragment.providers.append(match.agent_name)
         ordered = list(fragments.values())
-        seen_ids: Dict[str, int] = {}
-        for fragment in ordered:
-            count = seen_ids.get(fragment.fragment_id, 0)
-            seen_ids[fragment.fragment_id] = count + 1
-            if count:
-                fragment.fragment_id = f"{fragment.fragment_id}#{count + 1}"
+        if hints is not None:
+            # Equivalence sets of one shape are told apart by id suffix.
+            seen_ids: Dict[str, int] = {}
+            for fragment in ordered:
+                count = seen_ids.get(fragment.fragment_id, 0)
+                seen_ids[fragment.fragment_id] = count + 1
+                if count:
+                    fragment.fragment_id = f"{fragment.fragment_id}#{count + 1}"
         return ordered
 
     # ------------------------------------------------------------------
-    # resilient execution: executor
+    # executor
     # ------------------------------------------------------------------
-    def _execute_resilient(
+    def _execute(
         self,
-        plan: _Plan,
+        execution: _Execution,
         matches: List[Match],
-        reply: Optional[KqmlMessage],
+        reply: KqmlMessage,
         result: HandlerResult,
     ) -> None:
-        cfg = self.resilience
-        hints = _parse_equivalence(
-            reply.extra("equivalence") if reply is not None else None
-        )
-        fragments = self._plan_fragments(matches, plan.select, plan.ontology, hints)
+        cfg = self._policy
+        hints = (None if execution.fanout
+                 else _parse_equivalence(reply.extra("equivalence")))
+        fragments = self._plan_fragments(matches, execution.select,
+                                         execution.ontology, hints)
         if not fragments:
             result.send(
-                plan.original.reply(Performative.SORRY, content="no usable resources")
+                execution.original.reply(Performative.SORRY,
+                                         content="no usable resources")
             )
             return
         self._exec_counter += 1
-        execution = _Execution(
-            exec_id=self._exec_counter,
-            original=plan.original,
-            select=plan.select,
-            ontology=plan.ontology,
-            runs=[_FragmentRun(fragment=f, started=self.bus.now) for f in fragments],
-        )
+        execution.exec_id = self._exec_counter
+        execution.runs = [_FragmentRun(fragment=f, started=self.bus.now)
+                          for f in fragments]
         self._executions[execution.exec_id] = execution
         obs = self.observer
         if obs.enabled:
             obs.observe("mrq.fanout", float(len(fragments)))
-            obs.annotate(self.bus.now, plan.original, "mrq-fanout",
+            # Only the equivalence plan flags its fan-out as resilient.
+            flag = {} if execution.fanout else {"resilient": True}
+            obs.annotate(self.bus.now, execution.original, "mrq-fanout",
                          resources=len(fragments), recommended=len(matches),
-                         resilient=True)
+                         **flag)
         for index, run in enumerate(execution.runs):
             self._send_fragment(execution, index, result)
             if (
@@ -689,7 +675,7 @@ class MultiResourceQueryAgent(Agent):
     def _ranked_candidates(self, run: _FragmentRun) -> List[str]:
         """Untried providers for *run*, best first: closed breakers before
         open ones, then by health score, then broker rank."""
-        cfg = self.resilience
+        cfg = self._policy
         budget = cfg.max_providers_per_fragment - len(run.tried)
         if budget <= 0:
             return []
@@ -717,7 +703,6 @@ class MultiResourceQueryAgent(Agent):
         result: HandlerResult,
         hedge: bool = False,
     ) -> bool:
-        cfg = self.resilience
         run = execution.runs[index]
         candidates = self._ranked_candidates(run)
         if not candidates:
@@ -737,14 +722,20 @@ class MultiResourceQueryAgent(Agent):
             extras=ask_extras,
         )
         run.outstanding[provider] = (ask.reply_with, self.bus.now)
+        if execution.fanout:
+            # The sole provider gets the agent's own timeout and retries.
+            timeout, attempts = None, None
+        else:
+            # Another provider may take over: fail fast, no retries.
+            timeout, attempts = self._policy.provider_timeout, 1
         self.ask(
             ask,
             lambda r, res, e=execution, i=index, p=provider: self._fragment_reply(
                 e, i, p, r, res
             ),
             result,
-            timeout=cfg.provider_timeout,
-            attempts=1,
+            timeout=timeout,
+            attempts=attempts,
         )
         if hedge:
             run.hedged = True
@@ -771,7 +762,7 @@ class MultiResourceQueryAgent(Agent):
             return
         _reply_id, sent_at = entry
         now = self.bus.now
-        cfg = self.resilience
+        cfg = self._policy
         obs = self.observer
         health = self.provider_health.setdefault(provider, ProviderHealth())
 
@@ -782,6 +773,7 @@ class MultiResourceQueryAgent(Agent):
             self._latency_samples.append(latency)
             run.winner = provider
             run.answer = answer
+            execution.answered.append(run)
             # First reply wins: abandon the losing duplicate(s).
             for other, (other_id, _sent) in list(run.outstanding.items()):
                 self.cancel_ask(other_id)
@@ -790,14 +782,17 @@ class MultiResourceQueryAgent(Agent):
             run.outstanding.clear()
             if run.hedged and run.tried and provider != run.tried[0] and obs.enabled:
                 obs.inc("mrq.hedge.win")
-            self._finish_run(run, now, "ok")
+            self._finish_run(execution, run, now, "ok")
             self._maybe_assemble(execution, result)
             return
 
         retry_after = reply.extra("retry-after") if reply is not None else None
         health.record_failure(reason, now, cfg, retry_after)
         run.failures.append((provider, reason))
-        if obs.enabled:
+        # Per-fragment telemetry describes equivalence sets; the fan-out
+        # plan reports only its fan-out and its assembled answers.
+        per_fragment = obs.enabled and not execution.fanout
+        if per_fragment:
             obs.inc("mrq.provider.failure")
         if run.outstanding:
             return  # a hedge copy is still racing
@@ -810,20 +805,22 @@ class MultiResourceQueryAgent(Agent):
                              next=run.tried[-1])
             return
         run.exhausted = True
-        if obs.enabled:
+        if per_fragment:
             obs.inc("mrq.fragment.exhausted")
-        self._finish_run(run, now, "exhausted")
+        self._finish_run(execution, run, now, "exhausted")
         self._maybe_assemble(execution, result)
 
-    def _finish_run(self, run: _FragmentRun, now: float, status: str) -> None:
+    def _finish_run(
+        self, execution: _Execution, run: _FragmentRun, now: float, status: str
+    ) -> None:
         obs = self.observer
-        if obs.enabled:
+        if obs.enabled and not execution.fanout:
             obs.region(self.name, "mrq-fragment", run.started, now,
                        fragment=run.fragment.fragment_id, status=status,
                        provider=run.winner or "", attempts=len(run.tried))
 
     def _hedge_delay(self) -> float:
-        cfg = self.resilience
+        cfg = self._policy
         if len(self._latency_samples) >= cfg.hedge_min_samples:
             ordered = sorted(self._latency_samples)
             rank = max(1, math.ceil(cfg.hedge_quantile * len(ordered)))
@@ -855,143 +852,48 @@ class MultiResourceQueryAgent(Agent):
             return
         if self._executions.pop(execution.exec_id, None) is None:
             return
-        results, rejected = _admit(
-            [run.answer for run in execution.runs if run.winner is not None]
-        )
+        # The fan-out plan assembles answers in arrival order, the
+        # equivalence plan in fragment order.
+        answered = execution.answered
+        if not execution.fanout:
+            answered = [run for run in execution.runs if run.winner is not None]
+        results, rejected = _admit([run.answer for run in answered])
         for answer, reason in rejected:
-            run = next(r for r in execution.runs if r.answer is answer)
+            run = next(r for r in answered if r.answer is answer)
             run.failures.append((run.winner, reason))
             run.winner = run.answer = None
-        pushed_down = {
-            run.winner: run.fragment.pushed_down
-            for run in execution.runs
-            if run.winner is not None
-        }
-        missing = [run for run in execution.runs if run.winner is None]
-        failures = [
-            (provider, run.fragment.fragment_id, reason)
-            for run in missing
-            for provider, reason in run.failures
-        ]
+        partial_extras = _partial_extras(execution)
         if not results:
-            detail = _partial_detail(
-                execution.select.table,
-                [run.fragment.fragment_id for run in missing],
-                failures,
-            )
             result.send(
                 execution.original.reply(
                     Performative.SORRY,
                     content="all resources failed",
-                    **{"partial-detail": detail},
+                    **{"partial-detail": partial_extras["partial-detail"]},
                 )
             )
             return
-        partial_extras = {}
-        if missing:
-            missing_ids = [run.fragment.fragment_id for run in missing]
-            partial_extras = {
-                "partial": "missing:" + ",".join(sorted(missing_ids)),
-                "partial-detail": _partial_detail(
-                    execution.select.table, missing_ids, failures
-                ),
-            }
-        self._assemble_answer(
-            execution.original,
-            execution.select,
-            execution.ontology,
-            results,
-            pushed_down,
-            partial_extras,
-            result,
+        post_filter = not all(
+            run.fragment.pushed_down for run in answered if run.winner is not None
         )
+        self._assemble_answer(execution, results, post_filter, partial_extras,
+                              result)
 
     # ------------------------------------------------------------------
     # assembly
     # ------------------------------------------------------------------
-    def _collect(
-        self, plan: _Plan, resource: str, reply: Optional[KqmlMessage], result: HandlerResult
-    ) -> None:
-        answer, reason = _receive(resource, reply)
-        if answer is not None:
-            plan.results.append(answer)
-        else:
-            plan.failures.append((resource, reason))
-        plan.outstanding -= 1
-        if plan.outstanding == 0:
-            self._assemble(plan, result)
-
-    def _assemble(self, plan: _Plan, result: HandlerResult) -> None:
-        plan.results, rejected = _admit(plan.results)
-        plan.failures.extend(
-            (answer.provider, reason) for answer, reason in rejected
-        )
-        if not plan.results:
-            extras = {}
-            if plan.failures:
-                failures = [
-                    (name, plan.fragment_ids.get(name, "?"), reason)
-                    for name, reason in sorted(plan.failures)
-                ]
-                missing_ids = sorted({fid for _, fid, _ in failures})
-                extras["partial-detail"] = _partial_detail(
-                    plan.select.table, missing_ids, failures
-                )
-            result.send(
-                plan.original.reply(
-                    Performative.SORRY, content="all resources failed", **extras
-                )
-            )
-            return
-
-        partial_extras = {}
-        if plan.failures:
-            # Honest partial answers: a resource that never replied may
-            # hold rows nobody else returned, so the answer is flagged
-            # even when a same-shaped sibling succeeded.  The detail
-            # distinguishes fragment shapes with no surviving provider.
-            succeeded_ids = {
-                plan.fragment_ids.get(answer.provider) for answer in plan.results
-            }
-            failures = [
-                (name, plan.fragment_ids.get(name, "?"), reason)
-                for name, reason in sorted(plan.failures)
-            ]
-            missing_ids = sorted(
-                {fid for _, fid, _ in failures} - succeeded_ids
-            )
-            partial_extras = {
-                "partial": "missing:" + ",".join(
-                    sorted(name for name, _ in plan.failures)
-                ),
-                "partial-detail": _partial_detail(
-                    plan.select.table, missing_ids, failures
-                ),
-            }
-        self._assemble_answer(
-            plan.original,
-            plan.select,
-            plan.ontology,
-            plan.results,
-            plan.pushed_down,
-            partial_extras,
-            result,
-        )
-
     def _assemble_answer(
         self,
-        original: KqmlMessage,
-        select: Select,
-        ontology: Optional[Ontology],
+        execution: _Execution,
         answers: List[_Answer],
-        pushed_down: Dict[str, bool],
+        post_filter: bool,
         partial_extras: Dict[str, object],
         result: HandlerResult,
     ) -> None:
         # Every row was validated once on arrival and the answers agree on
         # column types (_admit), so the algebra below re-validates and
         # copies nothing; only the final projection builds new rows.
-        key = self._query_key(select, ontology)
+        original, select = execution.original, execution.select
+        key = self._query_key(select, execution.ontology)
         groups: Dict[frozenset, List[Table]] = {}
         total_bytes = 0
         for answer in answers:
@@ -1014,7 +916,7 @@ class MultiResourceQueryAgent(Agent):
 
         rows = list(assembled.rows_view())
         where = select.where
-        if where is not None and not all(pushed_down.values()):
+        if where is not None and post_filter:
             rows = [row for row in rows if evaluate_predicate(where, row)]
 
         columns = self._final_columns(select, assembled)
@@ -1087,20 +989,58 @@ def _parse_equivalence(value: object) -> Dict[str, int]:
     return groups
 
 
-def _partial_detail(
-    class_name: str,
-    missing_fragments: Sequence[str],
-    failures: Sequence[Tuple[str, str, str]],
-) -> Dict[str, object]:
-    """The machine-readable payload behind a ``:partial`` annotation."""
-    return {
-        "class": class_name,
-        "missing-fragments": tuple(sorted(missing_fragments)),
-        "failed": tuple(
-            {"provider": provider, "fragment": fragment, "reason": reason}
-            for provider, fragment, reason in failures
-        ),
+def _partial_extras(execution: _Execution) -> Dict[str, object]:
+    """The ``:partial`` and ``:partial-detail`` extras naming the runs of
+    *execution* that yielded no answer; empty when none is missing.
+
+    ``:partial`` lists each missing run under its provider's name in the
+    fan-out plan (a lost resource may hold rows nobody else returned)
+    and under its fragment id in the equivalence plan.  The detail's
+    ``failed`` entries are sorted by provider and reason in the fan-out
+    plan and kept in run order in the equivalence plan; its
+    ``missing-fragments`` are the fragment shapes no run answered."""
+    missing = [run for run in execution.runs if run.winner is None]
+    if not missing:
+        return {}
+    failed = [
+        (provider, run.fragment.fragment_id, reason)
+        for run in missing
+        for provider, reason in run.failures
+    ]
+    if execution.fanout:
+        failed.sort(key=lambda entry: (entry[0], entry[2]))
+        labels = [provider for provider, _fragment, _reason in failed]
+    else:
+        labels = [run.fragment.fragment_id for run in missing]
+    answered = {
+        run.fragment.fragment_id for run in execution.runs if run.winner is not None
     }
+    return {
+        "partial": "missing:" + ",".join(sorted(labels)),
+        "partial-detail": {
+            "class": execution.select.table,
+            "missing-fragments": tuple(sorted(
+                {run.fragment.fragment_id for run in missing} - answered
+            )),
+            "failed": tuple(
+                {"provider": provider, "fragment": fragment, "reason": reason}
+                for provider, fragment, reason in failed
+            ),
+        },
+    }
+
+
+def _match_list(reply: Optional[KqmlMessage]) -> Optional[List[Match]]:
+    """The broker's recommendation, or None when the broker died,
+    refused, or answered with something other than a list of matches."""
+    if reply is None or reply.performative is not Performative.TELL:
+        return None
+    content = reply.content
+    if not isinstance(content, (list, tuple)):
+        return None
+    if not all(isinstance(match, Match) for match in content):
+        return None
+    return list(content)
 
 
 def _receive(

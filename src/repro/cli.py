@@ -554,7 +554,7 @@ def _run_mrq_chaos(scenario: Optional[str], metrics_path: Optional[str],
 
     print(f"mrq-chaos scenario {name!r}: loss={loss:.0%}, "
           f"partition={partition_s:.0f}s, churn={churn}, "
-          f"{'failover+hedge' if protected else 'legacy fan-out'}, "
+          f"{'failover+hedge' if protected else 'fan-out plan'}, "
           f"queries={queries}")
     print(f"  answered            {row['answered']}/{row['queries']}")
     print(f"  complete            {row['complete']}")

@@ -170,22 +170,6 @@ class SimConfig:
     brownout_inflight: Optional[int] = None
     brownout_queue_depth: Optional[int] = None
 
-    # --- resilient MRQ execution (all off by default: the legacy
-    # --- query-every-match fan-out, byte-identical to before) ---------------
-    #: Group recommended resources into per-fragment equivalence sets,
-    #: send each fragment to the best-scored provider, and fail over to
-    #: the next-ranked one on timeout/sorry/overload shed.
-    mrq_failover: bool = False
-    #: Duplicate straggler fragments to the runner-up provider after a
-    #: latency-quantile trigger (first reply wins).
-    mrq_hedge: bool = False
-    #: Per-provider sub-query timeout for resilient execution (seconds).
-    mrq_provider_timeout_s: float = 15.0
-    #: Total providers tried per fragment (including hedge copies).
-    mrq_max_providers: int = 3
-    #: Hedge trigger before the latency EWMA has enough samples.
-    mrq_hedge_delay_s: float = 8.0
-
     # --- burst workload (open-loop flash crowd) -----------------------------
     #: When set, the mean query interval is divided by ``burst_factor``
     #: for ``burst_duration`` seconds starting at ``burst_start``.
@@ -289,10 +273,6 @@ class SimConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.mrq_provider_timeout_s <= 0 or self.mrq_hedge_delay_s <= 0:
-            raise ValueError("MRQ resilience timeouts must be positive")
-        if self.mrq_max_providers < 1:
-            raise ValueError("mrq_max_providers must be >= 1")
         if self.burst_start is not None and self.burst_duration <= 0:
             raise ValueError("burst_duration must be positive when "
                              "burst_start is set")
@@ -335,22 +315,6 @@ class SimConfig:
             or self.link_dup_rate > 0.0
             or self.link_jitter_s > 0.0
             or self.partition_start is not None
-        )
-
-    def mrq_resilience(self):
-        """The :class:`~repro.agents.mrq.MrqResilienceConfig` these knobs
-        describe, or None when every knob is off (the byte-identical
-        legacy fan-out)."""
-        if not (self.mrq_failover or self.mrq_hedge):
-            return None
-        from repro.agents.mrq import MrqResilienceConfig
-
-        return MrqResilienceConfig(
-            failover=self.mrq_failover,
-            hedge=self.mrq_hedge,
-            provider_timeout=self.mrq_provider_timeout_s,
-            max_providers_per_fragment=self.mrq_max_providers,
-            hedge_delay_s=self.mrq_hedge_delay_s,
         )
 
     def effective_redundancy(self) -> int:

@@ -1,14 +1,12 @@
-"""Resilient multi-source query execution (ISSUE 9).
+"""Resilient multi-source query execution.
 
 Covers the MRQ's equivalence-set planner and failover/hedge executor,
 the honest ``:partial`` annotations (an answer is never silently
-incomplete), broker failover in ``_pick_broker``, the TTL on the
-negative ontology-fetch cache, chaos honesty across seeds, and the
-property that a ``None``/inactive resilience config leaves the message
-trace byte-identical to the legacy fan-out.
+incomplete), broker failover in ``_pick_broker`` (for dead brokers and
+malformed recommend replies), the TTL on the negative ontology-fetch
+cache, chaos honesty across seeds, and the property that a ``None`` and
+an inactive resilience config select the same fan-out plan.
 """
-
-import re
 
 import pytest
 
@@ -37,13 +35,12 @@ from repro.core.matcher import MatchContext
 from repro.core.policy import FollowOption, SearchPolicy
 from repro.core.query import BrokerQuery
 from repro.kqml import KqmlMessage, Performative
-from repro.obs.events import Observer
 from repro.obs.metrics import MetricsObserver
 from repro.ontology import demo_ontology
 from repro.ontology.demo import hierarchy_ontology
 from repro.relational import Table
 from repro.relational.generate import generate_table
-from repro.sim.config import SimConfig
+from tests.message_trace import TraceObserver
 
 
 def fast_costs():
@@ -144,20 +141,6 @@ class TestResilienceConfig:
     def test_validation(self, bad):
         with pytest.raises(AgentError):
             MrqResilienceConfig(**bad)
-
-    def test_sim_config_surface(self):
-        assert SimConfig().mrq_resilience() is None
-        cfg = SimConfig(mrq_failover=True, mrq_hedge=True,
-                        mrq_provider_timeout_s=9.0, mrq_max_providers=2,
-                        mrq_hedge_delay_s=3.0).mrq_resilience()
-        assert cfg.failover and cfg.hedge
-        assert cfg.provider_timeout == 9.0
-        assert cfg.max_providers_per_fragment == 2
-        assert cfg.hedge_delay_s == 3.0
-        with pytest.raises(ValueError):
-            SimConfig(mrq_provider_timeout_s=0.0)
-        with pytest.raises(ValueError):
-            SimConfig(mrq_max_providers=0)
 
 
 class TestProviderHealth:
@@ -282,7 +265,7 @@ class TestBrokerEquivalenceHint:
 
 
 # ----------------------------------------------------------------------
-# S1: honest partial answers in the legacy fan-out
+# S1: honest partial answers in the fan-out plan
 # ----------------------------------------------------------------------
 class TestHonestPartialLegacy:
     def test_lost_resource_flags_partial_with_detail(self):
@@ -442,32 +425,55 @@ class TestHedging:
 # ----------------------------------------------------------------------
 # S2: broker failover
 # ----------------------------------------------------------------------
+def build_two_brokers():
+    """broker1 and broker2 peered; r1 advertises C1 to both, the MRQ
+    connects to both (broker1 first), and the user asks via broker2."""
+    onto = demo_ontology(1)
+    context = MatchContext(ontologies={"demo": onto})
+    bus = MessageBus(fast_costs())
+    brokers = ("broker1", "broker2")
+    for name in brokers:
+        bus.register(BrokerAgent(
+            name, context=context,
+            peer_brokers=[b for b in brokers if b != name]))
+    table = generate_table(onto, "C1", 8, seed=3)
+    bus.register(ResourceAgent(
+        "r1", {"C1": table}, "demo",
+        config=AgentConfig(preferred_brokers=brokers, redundancy=2)))
+    bus.register(MultiResourceQueryAgent(
+        "mrq", "demo", ontology=onto,
+        config=AgentConfig(preferred_brokers=brokers, redundancy=2)))
+    user = UserAgent(
+        "alice", query_timeout=300.0,
+        config=AgentConfig(preferred_brokers=("broker2",), redundancy=1))
+    bus.register(user)
+    bus.run_until(1.0)
+    return bus, user
+
+
+def garble(broker, content):
+    """Make *broker* answer the MRQ's recommends with *content*."""
+    honest = broker.on_recommend_all
+
+    def on_recommend_all(message, result, now):
+        if message.sender != "mrq":
+            honest(message, result, now)
+            return
+        result.send(message.reply(Performative.TELL, content=content))
+
+    broker.on_recommend_all = on_recommend_all
+
+
+#: Recommend-reply contents that are not a sequence of matches.
+MALFORMED = (None, 7, "oops", ("x",))
+MALFORMED_IDS = ("none", "int", "str", "tuple-of-str")
+
+
 class TestBrokerFailover:
     def test_mrq_fails_over_to_next_broker(self):
-        onto = demo_ontology(1)
-        context = MatchContext(ontologies={"demo": onto})
         metrics = MetricsObserver()
         with obs_mod.installed(metrics):
-            bus = MessageBus(fast_costs())
-            brokers = ("broker1", "broker2")
-            for name in brokers:
-                bus.register(BrokerAgent(
-                    name, context=context,
-                    peer_brokers=[b for b in brokers if b != name]))
-            table = generate_table(onto, "C1", 8, seed=3)
-            bus.register(ResourceAgent(
-                "r1", {"C1": table}, "demo",
-                config=AgentConfig(preferred_brokers=brokers, redundancy=2)))
-            mrq = MultiResourceQueryAgent(
-                "mrq", "demo", ontology=onto,
-                config=AgentConfig(preferred_brokers=brokers, redundancy=2))
-            bus.register(mrq)
-            user = UserAgent(
-                "alice", query_timeout=300.0,
-                config=AgentConfig(preferred_brokers=("broker2",),
-                                   redundancy=1))
-            bus.register(user)
-            bus.run_until(1.0)
+            bus, user = build_two_brokers()
             # The MRQ's primary broker dies *after* advertisement, so it
             # is still the first pick; the recommend must fail over to
             # broker2 instead of sorry-ing the whole query away.
@@ -478,6 +484,31 @@ class TestBrokerFailover:
         assert done.complete, (done.error, done.partial)
         assert done.result.row_count == 8
         assert counter_total(metrics, "mrq.broker_failover.count") >= 1
+
+    @pytest.mark.parametrize("content", MALFORMED, ids=MALFORMED_IDS)
+    def test_malformed_recommend_fails_over(self, content):
+        """A recommend reply that is not a match list is a broker
+        failure: the MRQ asks the next broker instead of crashing."""
+        metrics = MetricsObserver()
+        with obs_mod.installed(metrics):
+            bus, user = build_two_brokers()
+            garble(bus.agent("broker1"), content)
+            user.submit("select * from C1")
+            bus.run()
+        done = user.completed[0]
+        assert done.complete, (done.error, done.partial)
+        assert done.result.row_count == 8
+        assert counter_total(metrics, "mrq.broker_failover.count") == 1
+
+    @pytest.mark.parametrize("content", MALFORMED, ids=MALFORMED_IDS)
+    def test_malformed_recommend_without_fallback_is_sorry(self, content):
+        bus, user, _, _ = build_replicated()
+        garble(bus.agent("broker1"), content)
+        user.submit("select * from C1")
+        bus.run()
+        done = user.completed[0]
+        assert not done.succeeded
+        assert done.error == "no matching resources"
 
 
 # ----------------------------------------------------------------------
@@ -550,50 +581,10 @@ class TestChaosHonesty:
 
 
 # ----------------------------------------------------------------------
-# byte-identity of defaults (the opt-in property)
+# None and an inactive config select one plan
 # ----------------------------------------------------------------------
-_GLOBAL_ID = re.compile(r"\bid\d+\b")
-
-
-class _TraceObserver(Observer):
-    """Records every sent/delivered message as a comparable tuple.
-
-    KQML reply ids come from a process-global counter, so two runs in
-    one process mint different ``idN`` strings even when the flows are
-    identical.  Ids are interned in order of first appearance, which
-    still detects any reordering, addition, or loss of messages."""
-
-    enabled = True
-
-    def __init__(self):
-        self.events = []
-        self._ids = {}
-
-    def _canon(self, value):
-        if not isinstance(value, str):
-            return value
-        return _GLOBAL_ID.sub(
-            lambda m: self._ids.setdefault(m.group(0),
-                                           f"id#{len(self._ids)}"),
-            value,
-        )
-
-    def _key(self, kind, time, message):
-        extras = tuple((k, self._canon(v)) for k, v in message.extras)
-        return (kind, time, message.sender, message.receiver,
-                message.performative.value, self._canon(message.reply_with),
-                self._canon(message.in_reply_to), extras)
-
-    def message_sent(self, time, message, size_bytes, cause=None):
-        self.events.append(self._key("sent", time, message))
-
-    def message_delivered(self, time, message, waited, size_bytes,
-                          duplicate=False):
-        self.events.append(self._key("delivered", time, message))
-
-
-def _traced_run(seed, resilience, loss=0.0):
-    tracer = _TraceObserver()
+def traced_run(seed, resilience, loss=0.0):
+    tracer = TraceObserver()
     with obs_mod.installed(tracer):
         bus, user, _, names = build_replicated(resilience=resilience,
                                                shift_rows=True)
@@ -612,13 +603,13 @@ def _traced_run(seed, resilience, loss=0.0):
 class TestOptInByteIdentity:
     @pytest.mark.parametrize("seed", (0, 1, 2))
     def test_inactive_config_is_byte_identical(self, seed):
-        """An installed-but-fully-disabled resilience config must leave
-        the trace byte-identical to the ``None`` default — including the
-        broker traffic (no ``x-equivalence`` extra), on clean and lossy
-        links alike."""
+        """An installed config with failover and hedging both off and
+        the ``None`` default both select the fan-out plan, so their
+        traces are byte-identical — including the broker traffic (no
+        ``x-equivalence`` extra), on clean and lossy links alike."""
         for loss in (0.0, 0.25):
-            reference = _traced_run(seed, None, loss=loss)
-            disabled = _traced_run(
+            reference = traced_run(seed, None, loss=loss)
+            disabled = traced_run(
                 seed, MrqResilienceConfig(failover=False, hedge=False),
                 loss=loss)
             assert disabled == reference, (seed, loss)
