@@ -98,6 +98,8 @@ class JournalStats:
     replayed: int = 0
     compactions: int = 0
     records_dropped: int = 0
+    #: Partial last lines (a crash mid-append) cut off the file on open.
+    torn_tail: int = 0
 
 
 class AdvertisementJournal:
@@ -107,7 +109,11 @@ class AdvertisementJournal:
     strict crash because the journal object outlives the agent's
     volatile state); pass *path* to additionally persist each line to a
     real file — an existing file is loaded, so a journal survives even
-    process restarts.
+    process restarts.  Every append writes one whole line, so a file
+    not ending in a newline was cut mid-append: the partial last line is
+    dropped and the file truncated to its last complete line (counted
+    in :attr:`JournalStats.torn_tail`), so the next append starts on a
+    clean line.  A malformed complete line still fails :meth:`replay`.
     """
 
     def __init__(self, path: Optional[str] = None):
@@ -115,10 +121,16 @@ class AdvertisementJournal:
         self.stats = JournalStats()
         self._lines: List[str] = []
         if path is not None and os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as handle:
-                self._lines = [
-                    line.rstrip("\n") for line in handle if line.strip()
-                ]
+            with open(path, "rb") as handle:
+                data = handle.read()
+            complete = data.rfind(b"\n") + 1
+            if complete < len(data):
+                os.truncate(path, complete)
+                self.stats.torn_tail += 1
+            self._lines = [
+                line for line in data[:complete].decode("utf-8").split("\n")
+                if line.strip()
+            ]
 
     def __len__(self) -> int:
         return len(self._lines)

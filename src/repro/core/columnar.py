@@ -1,9 +1,10 @@
 """The columnar matchmaking plane: vectorized query evaluation.
 
-The direct matcher (:mod:`repro.core.matcher`) is a per-advertisement
+The scan matcher (:mod:`repro.core.matcher`) is a per-advertisement
 predicate walk — correct, explainable, and O(ads) Python bytecode per
-query.  This module compiles a repository generation into a **columnar
-plane** so a query is answered in three vectorized passes instead:
+query.  This module keeps a repository's agent advertisements in a
+**columnar plane** so a query is answered in three vectorized passes
+instead:
 
 1. **Posting intersection.**  Every indexable dimension (agent type,
    languages, conversations, capability names, ontology, classes, slots,
@@ -28,12 +29,20 @@ plane** so a query is answered in three vectorized passes instead:
    .compile_overlap_checker`); each distinct domain is probed **once
    per query** and its verdict applied to the whole group's bitset.
 
-Survivors of all three passes are exactly the advertisements the direct
+Survivors of all three passes are exactly the advertisements the scan
 matcher accepts (the equivalence property tests in
 ``tests/test_columnar.py`` and ``tests/test_matchmaking_equivalence.py``
 assert ranked-identical output); they are then scored and ranked by the
 same :func:`~repro.core.scoring.score_match` the scan uses, so scores —
 not just match sets — are identical.
+
+The plane is kept current write by write: :meth:`ColumnarPlane.add`
+and :meth:`ColumnarPlane.remove` set and clear one advertisement's bit
+in every posting list and column it is on, ids freed by a removal are
+reused by the next add, and columns grow as ids are handed out.  Since
+only exact names are stored, an ontology change never touches the
+plane.  :meth:`ColumnarPlane.compile` builds a plane in one pass, for a
+repository opened on a store that already holds advertisements.
 
 Explain mode is *not* served here: a verdict trail needs one verdict
 per advertisement with the canonical reject reason, which is precisely
@@ -45,6 +54,7 @@ explain-mode queries through the scan path instead (see
 from __future__ import annotations
 
 from array import array
+from heapq import heappop, heappush
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.constraints.compile import (
@@ -131,6 +141,8 @@ class _SlotColumn:
         simple = simple_numeric_interval(domain)
         if simple is not None:
             lo, hi, lo_open, hi_open = simple
+            if ad_id >= len(self.lo):
+                self._grow(ad_id)
             self.simple_mask |= bit
             self.lo[ad_id] = lo
             self.hi[ad_id] = hi
@@ -147,6 +159,30 @@ class _SlotColumn:
             groups[key] = [bit, compile_overlap_checker(domain)]
         else:
             entry[0] |= bit
+
+    def _grow(self, ad_id: int) -> None:
+        """Extend the arrays (at least doubling) until *ad_id* fits."""
+        extra = max(ad_id + 1, 2 * len(self.lo)) - len(self.lo)
+        self.lo.extend(array("d", bytes(8 * extra)))
+        self.hi.extend(array("d", bytes(8 * extra)))
+        self.open_flags.extend(bytes(extra))
+
+    def remove(self, ad_id: int, domain: Domain) -> None:
+        """Undo :meth:`add`; a group left empty is dropped with its
+        checker.  Stale array entries are never read: the masks gate
+        every sweep."""
+        keep = ~(1 << ad_id)
+        self.restricted_mask &= keep
+        if (self.simple_mask >> ad_id) & 1:
+            self.simple_mask &= keep
+            groups = self.simple_groups
+        else:
+            groups = self.groups
+        key = domain_key(domain)
+        entry = groups[key]
+        entry[0] &= keep
+        if not entry[0]:
+            del groups[key]
 
     def overlap_mask(self, query_domain: Domain, live: int) -> int:
         """Bits of *live* (all restricted here) whose advertised domain
@@ -188,21 +224,25 @@ class _SlotColumn:
 
 
 class ColumnarPlane:
-    """One compiled repository generation.
+    """The columnar form of a repository's agent advertisements.
 
-    Build with :meth:`compile`; answer queries with :meth:`match` /
+    Keep it current with :meth:`add` / :meth:`remove`, or build it in
+    one pass with :meth:`compile`; answer queries with :meth:`match` /
     :meth:`match_batch`.  The plane holds advertisement *names* plus
     columns — never the advertisements themselves; survivors are
     materialized through the ``fetch`` callable, so a storage-backed
     repository (:mod:`repro.core.store`) keeps ads off-heap.
     """
 
-    def __init__(self, names: List[str], fetch: Callable[[str], Advertisement]):
-        self._names = names
+    def __init__(self, fetch: Callable[[str], Advertisement]):
         self._fetch = fetch
-        n = len(names)
-        self.size = n
-        self.all_mask = (1 << n) - 1
+        #: Id -> advertiser name (None for a freed id), and back.
+        self._names: List[Optional[str]] = []
+        self._ids: Dict[str, int] = {}
+        #: Freed ids, reused lowest first so masks stay short.
+        self._free: List[int] = []
+        #: Bits of the ids currently holding an advertisement.
+        self.all_mask = 0
         self._by_agent_type: Dict[str, int] = {}
         self._by_content_language: Dict[str, int] = {}
         self._by_communication_language: Dict[str, int] = {}
@@ -220,10 +260,10 @@ class ColumnarPlane:
         self._unsat_mask = 0
         self._slot_columns: Dict[str, _SlotColumn] = {}
         #: Advertised response time (-inf = unadvertised, passes any cap).
-        self._response_time = array("d", bytes(8 * n))
+        self._response_time = array("d")
 
     # ------------------------------------------------------------------
-    # compilation
+    # maintenance
     # ------------------------------------------------------------------
     @classmethod
     def compile(
@@ -233,34 +273,30 @@ class ColumnarPlane:
     ) -> "ColumnarPlane":
         """Compile *advertisements* (one streaming pass, deterministic
         id order) into a plane that fetches survivors through *fetch*."""
-        ads = list(advertisements)
-        plane = cls([ad.agent_name for ad in ads], fetch)
-        for ad_id, ad in enumerate(ads):
-            plane._add(ad_id, ad)
+        plane = cls(fetch)
+        for ad in advertisements:
+            plane.add(ad)
         return plane
 
-    def _add(self, ad_id: int, ad: Advertisement) -> None:
+    def add(self, ad: Advertisement) -> None:
+        """Put *ad* on the plane under a free id.  Its advertiser must
+        not be on the plane already (:meth:`remove` the old ad first)."""
+        if self._free:
+            ad_id = heappop(self._free)
+        else:
+            ad_id = len(self._names)
+            self._names.append(None)
+            self._response_time.append(0.0)
+        self._names[ad_id] = ad.agent_name
+        self._ids[ad.agent_name] = ad_id
         bit = 1 << ad_id
+        self.all_mask |= bit
+        for index, key in self._postings(ad):
+            index[key] = index.get(key, 0) | bit
         desc = ad.description
-        _or_bit(self._by_agent_type, desc.agent_type, bit)
-        for language in desc.syntax.content_languages:
-            _or_bit(self._by_content_language, language, bit)
-        for language in desc.syntax.communication_languages:
-            _or_bit(self._by_communication_language, language, bit)
-        for conversation in desc.capabilities.conversations:
-            _or_bit(self._by_conversation, conversation, bit)
-        for function in desc.capabilities.functions:
-            _or_bit(self._by_capability, function, bit)
-        _or_bit(self._by_ontology, desc.content.ontology_name or "", bit)
-        if desc.content.classes:
-            for cls in desc.content.classes:
-                _or_bit(self._by_class, cls, bit)
-        else:
+        if not desc.content.classes:
             self._no_class_mask |= bit
-        if desc.content.slots:
-            for slot in desc.content.slots:
-                _or_bit(self._by_slot, slot, bit)
-        else:
+        if not desc.content.slots:
             self._no_slot_mask |= bit
         if desc.properties.mobile:
             self._mobile_mask |= bit
@@ -271,21 +307,67 @@ class ColumnarPlane:
             for slot in constraints.slots:
                 column = self._slot_columns.get(slot)
                 if column is None:
-                    column = self._slot_columns[slot] = _SlotColumn(self.size)
+                    column = self._slot_columns[slot] = _SlotColumn(
+                        len(self._names)
+                    )
                 column.add(ad_id, constraints.domain(slot))
         advertised_time = desc.properties.estimated_response_time
         self._response_time[ad_id] = (
             -_INF if advertised_time is None else advertised_time
         )
 
+    def remove(self, ad: Advertisement) -> None:
+        """Take *ad* — exactly as it was added — off the plane and free
+        its id.  Posting lists and slot columns left empty are dropped."""
+        ad_id = self._ids.pop(ad.agent_name)
+        self._names[ad_id] = None
+        heappush(self._free, ad_id)
+        keep = ~(1 << ad_id)
+        self.all_mask &= keep
+        for index, key in self._postings(ad):
+            mask = index.get(key, 0) & keep
+            if mask:
+                index[key] = mask
+            else:
+                index.pop(key, None)  # a key the ad lists twice
+        self._no_class_mask &= keep
+        self._no_slot_mask &= keep
+        self._mobile_mask &= keep
+        if (self._unsat_mask >> ad_id) & 1:
+            self._unsat_mask &= keep
+            return
+        constraints = ad.description.content.constraints
+        for slot in constraints.slots:
+            column = self._slot_columns[slot]
+            column.remove(ad_id, constraints.domain(slot))
+            if not column.restricted_mask:
+                del self._slot_columns[slot]
+
+    def _postings(self, ad: Advertisement):
+        """(posting list, key) for every posting list *ad* is on."""
+        desc = ad.description
+        yield self._by_agent_type, desc.agent_type
+        for language in desc.syntax.content_languages:
+            yield self._by_content_language, language
+        for language in desc.syntax.communication_languages:
+            yield self._by_communication_language, language
+        for conversation in desc.capabilities.conversations:
+            yield self._by_conversation, conversation
+        for function in desc.capabilities.functions:
+            yield self._by_capability, function
+        yield self._by_ontology, desc.content.ontology_name or ""
+        for cls in desc.content.classes:
+            yield self._by_class, cls
+        for slot in desc.content.slots:
+            yield self._by_slot, slot
+
     # ------------------------------------------------------------------
     # query evaluation
     # ------------------------------------------------------------------
     def posting_mask(self, query: BrokerQuery, context: MatchContext) -> int:
         """Pass 1: AND the posting bitsets of every dimension the query
-        constrains.  Sound *and* exact for those dimensions — unlike the
-        repository's set-based candidate index, slot coverage and
-        mobility are folded in here too."""
+        constrains — sound *and* exact for those dimensions, slot
+        coverage and mobility included."""
         mask = self.all_mask & ~self._unsat_mask
         if not mask:
             return 0
@@ -450,7 +532,3 @@ class ColumnarPlane:
             ))
         matches.sort(key=lambda m: (-m.score, m.agent_name))
         return matches
-
-
-def _or_bit(index: Dict[str, int], key: str, bit: int) -> None:
-    index[key] = index.get(key, 0) | bit

@@ -16,12 +16,14 @@ This is the broker's core reasoning, combining:
 An equivalent Datalog-compiled engine lives in
 :mod:`repro.core.datalog_matcher`; property tests assert they agree.
 
-This matcher is the per-candidate predicate; the repository wraps it
-with inverted candidate indexes and a fingerprint-keyed match cache
-(see :mod:`repro.core.repository`), so in production it only runs over
-index survivors.  The hierarchy tests below go through the memoized
-closures (:meth:`CapabilityHierarchy.cover_set`,
-:meth:`Ontology.related_closure`) shared with those indexes.
+This matcher is the reference oracle: the repository answers queries
+with the columnar plane (see :mod:`repro.core.columnar` and
+:mod:`repro.core.repository`), whose results must equal this scan's,
+and runs the scan itself only in explain mode, to rank the Datalog
+engine's matches, and over broker advertisements.  The hierarchy tests
+below go through the memoized closures
+(:meth:`CapabilityHierarchy.cover_set`,
+:meth:`Ontology.related_closure`) shared with the plane.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ class MatchContext:
     ontologies: Dict[str, Ontology] = field(default_factory=dict)
     #: Opt-in verdict recorder (see :mod:`repro.obs.explain`).  None —
     #: the default — keeps the matching hot path verdict-free; when set,
-    #: the repository bypasses its match cache and candidate pruning so
+    #: the repository bypasses its match cache and columnar plane so
     #: every advertisement gets exactly one verdict per query.
     explain_sink: Optional[ExplainSink] = None
 

@@ -41,28 +41,38 @@ def _skip_ws(text: str, pos: int) -> int:
 
 
 def _parse(text: str, pos: int) -> Tuple[Sexpr, int]:
-    if pos >= len(text):
-        raise KqmlParseError("unexpected end of input")
-    ch = text[pos]
-    if ch == "(":
-        items: List[Sexpr] = []
-        pos = _skip_ws(text, pos + 1)
-        while True:
-            if pos >= len(text):
-                raise KqmlParseError("unterminated list")
-            if text[pos] == ")":
-                return items, pos + 1
-            item, pos = _parse(text, pos)
-            items.append(item)
-            pos = _skip_ws(text, pos)
-    if ch == ")":
-        raise KqmlParseError("unbalanced ')'")
-    if ch == '"':
-        return _parse_string(text, pos)
-    m = _ATOM_RE.match(text, pos)
-    if not m:
-        raise KqmlParseError(f"cannot parse at {text[pos:pos + 10]!r}")
-    return _coerce_atom(m.group()), m.end()
+    """The s-expression starting at *pos*, and the position after it.
+
+    Iterative, with the open lists on an explicit stack: nesting depth
+    is bounded by memory, never by the interpreter's recursion limit,
+    so hostile input fails with :class:`KqmlParseError` or parses.
+    """
+    open_lists: List[List[Sexpr]] = []
+    while True:
+        if pos >= len(text):
+            raise KqmlParseError(
+                "unterminated list" if open_lists else "unexpected end of input"
+            )
+        ch = text[pos]
+        if ch == "(":
+            open_lists.append([])
+            pos = _skip_ws(text, pos + 1)
+            continue
+        if ch == ")":
+            if not open_lists:
+                raise KqmlParseError("unbalanced ')'")
+            expr, pos = open_lists.pop(), pos + 1
+        elif ch == '"':
+            expr, pos = _parse_string(text, pos)
+        else:
+            m = _ATOM_RE.match(text, pos)
+            if not m:
+                raise KqmlParseError(f"cannot parse at {text[pos:pos + 10]!r}")
+            expr, pos = _coerce_atom(m.group()), m.end()
+        if not open_lists:
+            return expr, pos
+        open_lists[-1].append(expr)
+        pos = _skip_ws(text, pos)
 
 
 def _parse_string(text: str, pos: int) -> Tuple[str, int]:

@@ -99,10 +99,12 @@ def _extract_match(data: Mapping, source: str) -> List[Indicator]:
             key=lambda kv: int(kv[0])):
         out.append(Indicator(f"match.columnar_speedup_vs_scan.size={size}",
                              float(speedup), "higher", source))
-    for size, wall in sorted((data.get("columnar_build_seconds") or {}).items(),
-                             key=lambda kv: int(kv[0])):
-        out.append(Indicator(f"match.columnar_build_s.size={size}",
-                             float(wall), "lower", source, checked=False))
+    # Plane upkeep per write (advertise during ingest, unadvertise +
+    # re-advertise when full): wall-clock, so recorded only.
+    for op, by_size in sorted((data.get("columnar_upkeep_us") or {}).items()):
+        for size, us in sorted(by_size.items(), key=lambda kv: int(kv[0])):
+            out.append(Indicator(f"match.columnar_upkeep_us.{op}.size={size}",
+                                 float(us), "lower", source, checked=False))
     for variant, by_size in sorted(
             (data.get("columnar_wall_seconds") or {}).items()):
         for size, wall in sorted(by_size.items(), key=lambda kv: int(kv[0])):

@@ -25,6 +25,9 @@ Naming scheme (dotted names, optional ``{key=value}`` labels)::
     agent.readvertise.count{agent=x}     advertise messages sent
     region.seconds{region=x}             named activity windows (hist)
     matcher.constraint.attempts/.hits    constraint-overlap checks
+    broker.match.reject{reason=x}        rejected ads by first failing
+                                         check (explain mode only: the
+                                         columnar plane never walks ads)
     mrq.fanout                           subqueries per user query (hist)
     monitor.polls.count / monitor.notifications.count
     sim.queries.issued / sim.queries.replied / sim.broker.response

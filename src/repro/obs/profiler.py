@@ -1,9 +1,9 @@
 """Always-on hot-path phase profiler.
 
 A :class:`PhaseProfiler` aggregates nested, named activity phases —
-``bus.deliver``, ``match.index_probe``, ``cache.lookup``,
-``match.filter``, ``journal.append`` — into per-stack wall-clock
-totals.  Instrumented code talks to the process-wide :data:`PROFILER`
+``bus.deliver``, ``cache.lookup``, ``match.columnar.sweep`` (the
+columnar engine's match), ``match.filter`` (the Datalog engine's
+match), ``journal.append`` — into per-stack wall-clock totals.  Instrumented code talks to the process-wide :data:`PROFILER`
 singleton and pays exactly one attribute load plus one branch when the
 profiler is idle::
 

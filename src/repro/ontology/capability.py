@@ -101,9 +101,8 @@ class CapabilityHierarchy:
         including itself (memoized).
 
         An unknown capability is covered only by its own name.  The
-        repository's capability index expands requested capabilities
-        through this closure instead of testing :meth:`covers` per
-        advertisement.
+        columnar plane expands requested capabilities through this
+        closure instead of testing :meth:`covers` per advertisement.
         """
         cached = self._cover_cache.get(requested)
         if cached is None:

@@ -75,13 +75,13 @@ class Ontology:
             raise OntologyError("ontology name must be non-empty")
         self.name = name
         #: Monotonic mutation counter.  The broker repository folds it
-        #: into its generation stamp so match caches and the columnar
-        #: plane notice an ontology reload, not just advertise traffic.
+        #: into its generation stamp so match caches notice an ontology
+        #: reload, not just advertise traffic.
         self.version = 0
         self._classes: Dict[str, OntClass] = {}
         # Hierarchy-walk memos, invalidated whenever a class is added.
-        # The broker's candidate index asks for the same closures on
-        # every query, so these are hot.
+        # The columnar plane asks for the same closures on every
+        # query, so these are hot.
         self._ancestor_cache: Dict[str, Tuple[str, ...]] = {}
         self._descendant_cache: Dict[str, Tuple[str, ...]] = {}
         self._related_cache: Dict[str, frozenset] = {}

@@ -129,10 +129,7 @@ class SimConfig:
     #: this interval (seconds).
     broker_sync_interval: Optional[float] = None
 
-    # --- matchmaking engine -------------------------------------------------
-    #: Repository matching backend for every broker: ``"direct"``,
-    #: ``"datalog"`` or ``"columnar"`` (see repro.core.repository).
-    broker_engine: str = "direct"
+    # --- broker repository ------------------------------------------------
     #: When set, brokers buffer concurrent recommend-* requests for
     #: this many (virtual) seconds and answer them in one repository
     #: pass (micro-batching; see BrokerAgent.recommend_batch_window).
@@ -245,10 +242,6 @@ class SimConfig:
             raise ValueError("crash_mode must be 'lenient' or 'strict'")
         if self.broker_sync_interval is not None and self.broker_sync_interval <= 0:
             raise ValueError("broker sync interval must be positive")
-        if self.broker_engine not in ("direct", "datalog", "columnar"):
-            raise ValueError(
-                "broker_engine must be 'direct', 'datalog' or 'columnar'"
-            )
         if self.broker_batch_window is not None and self.broker_batch_window <= 0:
             raise ValueError("broker batch window must be positive")
         if self.flight_recorder_slots is not None and self.flight_recorder_slots < 1:

@@ -9,14 +9,18 @@ results:
 * compiled per-domain overlap checkers agree with ``overlaps_domains``
   and compiled constraint checkers with ``Constraint.overlaps``
   (hypothesis, including open and infinite endpoints);
-* randomized communities rank identically under scan, indexed, Datalog
-  and columnar — with constraint pools exercising open/unbounded
-  intervals, point queries that empty the posting sets, and both the
-  simple-interval-array and grouped-checker regimes;
+* randomized communities rank identically under the scan oracle,
+  Datalog and columnar — with constraint pools exercising open/unbounded
+  intervals, point queries that empty the posting sets, both the
+  simple-interval-array and grouped-checker regimes, and churn that
+  makes the plane reuse freed ids;
+* the plane's incremental upkeep (``add``/``remove``, id reuse, column
+  growth) leaves it equal to a one-pass compile;
 * ``query_batch`` equals per-query answers, cached and uncached;
 * a SQLite-backed repository answers byte-identically to the in-memory
-  one on seeds 0-2, survives a codec round-trip, and a journal replay
-  into a SQLite store reproduces the original repository.
+  one on seeds 0-2, survives a codec round-trip, reopens on a populated
+  file ranking identically, and a journal replay into a SQLite store
+  reproduces the original repository.
 """
 
 import random
@@ -38,9 +42,12 @@ from repro.constraints import (
 from repro.constraints.domains import overlaps_domains
 from repro.core import BrokerQuery, BrokerRepository, MatchContext
 from repro.core.columnar import ColumnarPlane
+from repro.core.matcher import match_advertisements
 from repro.core.store import SQLiteAdStore, SQLiteBrokerRepository
 from tests.test_matchmaking_equivalence import (
     ONTOLOGY_NAMES,
+    assert_repos_match_oracle,
+    churn,
     random_ad,
     random_ontology,
     random_query,
@@ -176,11 +183,8 @@ def test_columnar_ranked_identical_on_edge_communities(seed):
     context = MatchContext(
         ontologies={name: pair[0] for name, pair in ontologies.items()}
     )
-    scan = BrokerRepository(context, index_mode="none", match_cache_size=0)
-    indexed = BrokerRepository(context, index_mode="full")
-    datalog = BrokerRepository(context, engine="datalog")
-    columnar = BrokerRepository(context, engine="columnar")
-    repos = (scan, indexed, datalog, columnar)
+    repos = (BrokerRepository(context, engine="datalog"),
+             BrokerRepository(context))
 
     ads = [edge_ad(rng, f"agent-{i}", ontologies) for i in range(24)]
     for ad in ads:
@@ -188,18 +192,47 @@ def test_columnar_ranked_identical_on_edge_communities(seed):
             repo.advertise(ad)
 
     queries = [edge_query(rng, ontologies) for _ in range(14)]
-    for query in queries + queries[:7]:
-        expected = ranked(scan.query(query))
-        assert ranked(indexed.query(query)) == expected
-        assert ranked(datalog.query(query)) == expected
-        assert ranked(columnar.query(query)) == expected
+    assert_repos_match_oracle(repos, queries + queries[:7], context)
 
-    for ad in ads[::2]:
-        for repo in repos:
-            assert repo.unadvertise(ad.agent_name)
-    for query in queries:
-        expected = ranked(scan.query(query))
-        assert ranked(columnar.query(query)) == expected
+    churn(repos, ads, rng, lambda rng, name: edge_ad(rng, name, ontologies))
+    assert_repos_match_oracle(repos, queries, context)
+
+
+def test_plane_upkeep_matches_one_pass_compile():
+    """Removing ads frees their ids, the next adds reuse them lowest
+    first, columns grow past their first size, and every answer stays
+    equal to a plane compiled in one pass over the survivors."""
+    rng = random.Random(13)
+    ontologies = {name: random_ontology(rng, name) for name in ONTOLOGY_NAMES}
+    context = MatchContext(
+        ontologies={name: pair[0] for name, pair in ontologies.items()}
+    )
+    live = {}
+    plane = ColumnarPlane(lambda name: live[name])
+    for i in range(10):
+        ad = edge_ad(rng, f"agent-{i}", ontologies)
+        live[ad.agent_name] = ad
+        plane.add(ad)
+    for name in ("agent-7", "agent-2", "agent-5"):
+        plane.remove(live.pop(name))
+    assert len(plane._ids) == 7
+    # Freed ids 2, 5, 7 are handed out again, lowest first, then the
+    # plane grows past its first ten ids.
+    for i in range(10, 15):
+        ad = edge_ad(rng, f"agent-{i}", ontologies)
+        live[ad.agent_name] = ad
+        plane.add(ad)
+    assert [plane._ids[f"agent-{i}"] for i in range(10, 15)] == [2, 5, 7, 10, 11]
+    compiled = ColumnarPlane.compile(list(live.values()), live.get)
+    for query in [edge_query(rng, ontologies) for _ in range(20)]:
+        expected = ranked(match_advertisements(query, live.values(), context))
+        assert ranked(plane.match(query, context)[0]) == expected
+        assert ranked(compiled.match(query, context)[0]) == expected
+    # Taking every ad off leaves no posting list or column behind.
+    for ad in list(live.values()):
+        plane.remove(ad)
+    assert plane.all_mask == 0
+    assert not plane._by_agent_type and not plane._slot_columns
 
 
 def test_columnar_empty_posting_dimensions():
@@ -241,11 +274,9 @@ def test_match_batch_equals_per_query(cache):
     context = MatchContext(
         ontologies={name: pair[0] for name, pair in ontologies.items()}
     )
-    reference = BrokerRepository(context, index_mode="none", match_cache_size=0)
     batched = BrokerRepository(context, engine="columnar", match_cache_size=cache)
     ads = [edge_ad(rng, f"agent-{i}", ontologies) for i in range(20)]
     for ad in ads:
-        reference.advertise(ad)
         batched.advertise(ad)
     queries = [edge_query(rng, ontologies) for _ in range(9)]
     # Duplicates inside one batch share a posting prefix (and, with the
@@ -254,7 +285,8 @@ def test_match_batch_equals_per_query(cache):
     answers = batched.query_batch(batch)
     assert len(answers) == len(batch)
     for query, matches in zip(batch, answers):
-        assert ranked(matches) == ranked(reference.query(query))
+        assert ranked(matches) == ranked(
+            match_advertisements(query, ads, context))
 
 
 def test_plane_posting_prefix_sharing():
@@ -307,6 +339,30 @@ def test_sqlite_repository_matches_memory_byte_identically(seed):
         assert ranked(got) == ranked(expected)
         assert [m.score for m in got] == [m.score for m in expected]
         assert [m.advertisement for m in got] == [m.advertisement for m in expected]
+
+
+@pytest.mark.parametrize("engine", ["columnar", "datalog"])
+def test_sqlite_reopened_file_ranks_like_its_writer(tmp_path, engine):
+    """A repository opened on a populated SQLite file loads the stored
+    ads into its backend in one pass (the columnar plane's compile, or
+    the Datalog fact base) and ranks exactly like the repository that
+    wrote the file — churn included."""
+    rng = random.Random(3)
+    ontologies = {name: random_ontology(rng, name) for name in ONTOLOGY_NAMES}
+    context = MatchContext(
+        ontologies={name: pair[0] for name, pair in ontologies.items()}
+    )
+    path = str(tmp_path / "ads.db")
+    writer = SQLiteBrokerRepository(context, path=path, engine=engine)
+    ads = [edge_ad(rng, f"agent-{i}", ontologies) for i in range(20)]
+    for ad in ads:
+        writer.advertise(ad)
+    churn((writer,), ads, rng,
+          lambda rng, name: edge_ad(rng, name, ontologies))
+    reopened = SQLiteBrokerRepository(context, path=path, engine=engine)
+    assert reopened.agent_names() == writer.agent_names()
+    for query in [edge_query(rng, ontologies) for _ in range(12)]:
+        assert ranked(reopened.query(query)) == ranked(writer.query(query))
 
 
 def test_sqlite_store_roundtrip_and_churn():

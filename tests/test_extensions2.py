@@ -37,10 +37,10 @@ class TestDatalogRepositoryBackend:
         BrokerQuery(capabilities=("select",)),
     ])
     def test_backends_agree(self, query):
-        direct = self.build("direct").query(query)
+        columnar = self.build("columnar").query(query)
         datalog = self.build("datalog").query(query)
-        assert [m.agent_name for m in direct] == [m.agent_name for m in datalog]
-        assert [m.score for m in direct] == [m.score for m in datalog]
+        assert [m.agent_name for m in columnar] == [m.agent_name for m in datalog]
+        assert [m.score for m in columnar] == [m.score for m in datalog]
 
     def test_constraint_reasoning_on_datalog_backend(self):
         from repro.constraints import parse_constraint

@@ -1,5 +1,7 @@
 """Tests for the KQML message model and wire syntax."""
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -89,6 +91,34 @@ class TestSexpr:
         for bad in ["(a", "a)", '"unterminated', "(a) b", ""]:
             with pytest.raises(KqmlParseError):
                 parse_sexpr(bad)
+
+    def test_parse_error_messages(self):
+        for bad, message in [("(a", "unterminated list"),
+                             ("", "unexpected end of input"),
+                             (")", "unbalanced ')'"),
+                             ("(a (b", "unterminated list")]:
+            with pytest.raises(KqmlParseError, match=re.escape(message)):
+                parse_sexpr(bad)
+
+    @pytest.mark.parametrize("depth", [5_000, 200_000])
+    def test_deep_nesting_parses_or_raises_parse_error(self, depth):
+        """Regression: the recursive parser hit RecursionError at depth
+        5,000.  Deep input must parse, or fail as a KqmlParseError —
+        through parse_sexpr and through loads."""
+        nested = "(" * depth + "leaf" + ")" * depth
+        expr = parse_sexpr(nested)
+        for _ in range(depth):
+            assert isinstance(expr, list) and len(expr) == 1
+            expr = expr[0]
+        assert expr == "leaf"
+        for bad in ("(" * depth, "(" * depth + ")" * (depth + 1)):
+            with pytest.raises(KqmlParseError):
+                parse_sexpr(bad)
+        message = loads(f"(tell :sender a :receiver b :content {nested})")
+        assert message.sender == "a" and isinstance(message.content, list)
+        for bad in (nested, "(tell :sender a :content " + "(" * depth):
+            with pytest.raises(KqmlParseError):
+                loads(bad)
 
     def test_render_roundtrip(self):
         expr = ["ask-all", ":content", "select * from C2", ":n", 3]

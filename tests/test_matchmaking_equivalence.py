@@ -1,18 +1,21 @@
 """Property test: every matchmaking backend agrees on every community.
 
 Seeded-random agent communities — subclass hierarchies, capability
-trees, data constraints, slot fragments — are matched four ways:
+trees, data constraints, slot fragments — are matched three ways:
 
-* the direct matcher with no candidate index and no cache (the
-  reference linear scan),
-* the direct matcher with the full candidate index and match cache,
+* the scan matcher, :func:`~repro.core.matcher.match_advertisements`,
+  over the repository's stored advertisements (the reference oracle),
 * the persistent incremental Datalog backend,
-* the columnar plane (bitset posting lists + interval columns).
+* the columnar plane (bitset posting lists + interval columns), the
+  default, with its match cache.
 
-All four must return the *same agents in the same ranked order* for
-every query.  This pins down the tentpole's soundness claim: the
-indexes, the cache, the incremental LDL program and the vectorized
-columnar passes are pure work-savers, invisible in the results.
+All three must return the *same agents in the same ranked order* for
+every query, before and after churn: advertisements dropped and
+re-advertised with fresh descriptions (so the plane reuses freed ids)
+and a live agent re-advertising a changed description.  This pins down
+the soundness claim: the cache, the incremental LDL program and the
+vectorized columnar passes are pure work-savers, invisible in the
+results.
 """
 
 import random
@@ -21,6 +24,7 @@ import pytest
 
 from repro.constraints import parse_constraint
 from repro.core import BrokerQuery, BrokerRepository, MatchContext
+from repro.core.matcher import match_advertisements
 from repro.ontology import OntClass, Ontology, Slot
 
 ONTOLOGY_NAMES = ["healthcare", "aerospace", "finance"]
@@ -111,6 +115,31 @@ def ranked(matches):
     return [(m.agent_name, round(m.score, 9), m.matched_slots) for m in matches]
 
 
+def assert_repos_match_oracle(repos, queries, context):
+    """Every repository answers every query exactly like the scan over
+    its own stored advertisements."""
+    for query in queries:
+        for repo in repos:
+            expected = ranked(
+                match_advertisements(query, repo.agent_ads(), context))
+            assert ranked(repo.query(query)) == expected
+
+
+def churn(repos, ads, rng, fresh_ad):
+    """Drop every third advertisement, re-advertise the dropped agents
+    with fresh descriptions (so freed plane ids get reused), and
+    re-advertise one live agent with a changed description."""
+    dropped = ads[::3]
+    for ad in dropped:
+        for repo in repos:
+            assert repo.unadvertise(ad.agent_name)
+    changed = [fresh_ad(rng, ad.agent_name) for ad in dropped]
+    changed.append(fresh_ad(rng, ads[1].agent_name))
+    for ad in changed:
+        for repo in repos:
+            repo.advertise(ad)
+
+
 @pytest.mark.parametrize("seed", [7, 23, 1999])
 def test_backends_agree_on_random_communities(seed):
     rng = random.Random(seed)
@@ -119,11 +148,8 @@ def test_backends_agree_on_random_communities(seed):
         ontologies={name: pair[0] for name, pair in ontologies.items()}
     )
 
-    scan = BrokerRepository(context, index_mode="none", match_cache_size=0)
-    indexed = BrokerRepository(context, index_mode="full")
-    datalog = BrokerRepository(context, engine="datalog")
-    columnar = BrokerRepository(context, engine="columnar")
-    repos = (scan, indexed, datalog, columnar)
+    repos = (BrokerRepository(context, engine="datalog"),
+             BrokerRepository(context))
 
     ads = [random_ad(rng, f"agent-{i}", ontologies) for i in range(18)]
     for ad in ads:
@@ -131,23 +157,14 @@ def test_backends_agree_on_random_communities(seed):
             repo.advertise(ad)
 
     queries = [random_query(rng, ontologies) for _ in range(10)]
-    # Interleave repeats so the indexed repo serves some from cache and
+    # Interleave repeats so the columnar repo serves some from cache and
     # the datalog repo reuses compiled query rules.
-    for query in queries + queries[: len(queries) // 2]:
-        expected = ranked(scan.query(query))
-        assert ranked(indexed.query(query)) == expected
-        assert ranked(datalog.query(query)) == expected
-        assert ranked(columnar.query(query)) == expected
+    assert_repos_match_oracle(repos, queries + queries[: len(queries) // 2],
+                              context)
 
-    # Churn: drop a third of the community, backends must stay aligned.
-    for ad in ads[::3]:
-        for repo in repos:
-            assert repo.unadvertise(ad.agent_name)
-    for query in queries:
-        expected = ranked(scan.query(query))
-        assert ranked(indexed.query(query)) == expected
-        assert ranked(datalog.query(query)) == expected
-        assert ranked(columnar.query(query)) == expected
+    churn(repos, ads, rng,
+          lambda rng, name: random_ad(rng, name, ontologies))
+    assert_repos_match_oracle(repos, queries, context)
 
 
 def verdict_map(trail):
@@ -160,9 +177,9 @@ def verdict_map(trail):
 @pytest.mark.parametrize("seed", [11, 401, 7321])
 def test_backends_agree_on_explanations(seed):
     """With explain enabled, every backend issues exactly one verdict
-    per advertisement per query, and all four agree on accept/reject,
-    the reject reason, and its detail.  The columnar backend routes
-    explain-mode queries through the canonical scan (labelled
+    per advertisement per query, and all agree with the scan matcher on
+    accept/reject, the reject reason, and its detail.  The columnar
+    backend routes explain-mode queries through that scan (labelled
     ``columnar``) so its verdicts carry the same reasons."""
     from repro.obs.explain import ExplainSink
 
@@ -172,10 +189,8 @@ def test_backends_agree_on_explanations(seed):
         ontologies={name: pair[0] for name, pair in ontologies.items()}
     )
     backends = {
-        "scan": BrokerRepository(context, index_mode="none", match_cache_size=0),
-        "indexed": BrokerRepository(context, index_mode="full"),
         "datalog": BrokerRepository(context, engine="datalog"),
-        "columnar": BrokerRepository(context, engine="columnar"),
+        "columnar": BrokerRepository(context),
     }
 
     ads = [random_ad(rng, f"agent-{i}", ontologies) for i in range(15)]
@@ -186,9 +201,11 @@ def test_backends_agree_on_explanations(seed):
 
     queries = [random_query(rng, ontologies) for _ in range(8)]
     # The repeats hit the datalog backend's already-compiled rules and
-    # force the indexed backend to bypass a warm match cache.
+    # force the columnar backend to bypass a warm match cache.
     for query in queries + queries[: len(queries) // 2]:
-        trails = {}
+        reference_sink = ExplainSink()
+        match_advertisements(query, ads, context, explain=reference_sink)
+        reference = verdict_map(reference_sink.queries[0])
         for label, repo in backends.items():
             sink = ExplainSink()
             context.explain_sink = sink
@@ -205,8 +222,4 @@ def test_backends_agree_on_explanations(seed):
             assert sorted(v.agent for v in trail.accepted()) == sorted(
                 m.agent_name for m in matches
             )
-            trails[label] = trail
-        reference = verdict_map(trails["scan"])
-        assert verdict_map(trails["indexed"]) == reference
-        assert verdict_map(trails["datalog"]) == reference
-        assert verdict_map(trails["columnar"]) == reference
+            assert verdict_map(trail) == reference

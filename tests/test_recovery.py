@@ -48,7 +48,7 @@ from repro.experiments.robustness import (
     measure_reconvergence,
     recovery_config,
 )
-from repro.kqml import KqmlMessage, Performative
+from repro.kqml import KqmlMessage, KqmlParseError, Performative
 from repro.kqml.sexpr import parse_sexpr, render_sexpr
 from repro.obs import ConversationTracer, MetricsObserver
 from repro.ontology import demo_ontology
@@ -229,6 +229,39 @@ class TestJournal:
         rewritten = AdvertisementJournal(path)
         assert len(rewritten) == 2
         assert not {r.agent: r for r in rewritten.replay()}["gone"].deleted
+
+
+    def test_torn_tail_is_cut_at_every_offset(self, tmp_path):
+        """Regression: a file whose last append was cut short could not
+        be reopened (``unterminated list``).  Cut a 4-record journal at
+        every byte offset of its last record: each reopen replays the
+        first 3 records, and the next append lands on a clean line."""
+        path = tmp_path / "broker0.journal"
+        journal = AdvertisementJournal(str(path))
+        for i in range(4):
+            journal.record_advertise(_ad(f"r{i}", 10.0 + i, 1))
+        data = path.read_bytes()
+        last_start = data.rstrip(b"\n").rfind(b"\n") + 1
+        for offset in range(last_start, len(data)):
+            path.write_bytes(data[:offset])
+            reopened = AdvertisementJournal(str(path))
+            assert [r.agent for r in reopened.replay()] == ["r0", "r1", "r2"]
+            assert reopened.stats.torn_tail == (offset > last_start)
+            assert path.read_bytes() == data[:last_start]
+            reopened.record_advertise(_ad("r9", 50.0, 1))
+            again = AdvertisementJournal(str(path))
+            assert [r.agent for r in again.replay()] == ["r0", "r1", "r2", "r9"]
+            assert again.stats.torn_tail == 0
+
+    def test_bad_interior_line_still_raises(self, tmp_path):
+        path = tmp_path / "broker0.journal"
+        journal = AdvertisementJournal(str(path))
+        journal.record_advertise(_ad("r0", 10.0, 1))
+        journal.record_advertise(_ad("r1", 11.0, 1))
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text(lines[0][:-5] + "\n" + lines[1])
+        with pytest.raises(KqmlParseError):
+            AdvertisementJournal(str(path)).replay()
 
 
 class TestLastWriterWins:

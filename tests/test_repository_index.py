@@ -1,16 +1,18 @@
-"""Tests for the repository's candidate indexes and match cache.
+"""Tests for the repository's matching fast path and match cache.
 
-Covers the multi-dimension inverted indexes (ontology, class closure,
-capability closure, conversation), the fingerprint-keyed match cache
-with its generation-counter invalidation, and full index consistency
-across advertise → unadvertise → re-advertise cycles — including
-agent/broker type flips (the re-advertisement bug this PR fixed).
+Covers pruning through the columnar plane's posting lists (ontology,
+class closure, capability closure, conversation), the fingerprint-keyed
+match cache with its generation-counter invalidation, and plane
+consistency across advertise → unadvertise → re-advertise cycles —
+including agent/broker type flips.  Every answer is checked against
+the reference scan, :func:`~repro.core.matcher.match_advertisements`.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import BrokerQuery, BrokerRepository, BrokeringError, MatchContext
+from repro.core.matcher import match_advertisements
 from repro.ontology import healthcare_ontology
 from tests.test_core_matcher import make_ad
 from tests.test_core_infrastructure import broker_ad
@@ -18,15 +20,18 @@ from tests.test_core_infrastructure import broker_ad
 ONTOLOGIES = ["healthcare", "aerospace", "finance", ""]
 
 
-def build_repos(ads, **indexed_kwargs):
-    """A linear-scan repository and an indexed one over the same ads."""
+def build_repo(ads, **kwargs):
+    """A default repository holding *ads*."""
     context = MatchContext(ontologies={"healthcare": healthcare_ontology()})
-    scan = BrokerRepository(context, index_mode="none", match_cache_size=0)
-    indexed = BrokerRepository(context, **indexed_kwargs)
+    repo = BrokerRepository(context, **kwargs)
     for ad in ads:
-        scan.advertise(ad)
-        indexed.advertise(ad)
-    return scan, indexed
+        repo.advertise(ad)
+    return repo
+
+
+def scan(repo, query):
+    """The reference answer: the scan matcher over *repo*'s ads."""
+    return match_advertisements(query, repo.agent_ads(), repo.context)
 
 
 def sample_ads():
@@ -43,24 +48,20 @@ def names(matches):
 
 class TestCandidateIndex:
     def test_same_results_with_and_without_index(self):
-        scan, indexed = build_repos(sample_ads())
+        repo = build_repo(sample_ads())
         query = BrokerQuery(ontology_name="healthcare", classes=("patient",))
-        assert names(scan.query(query)) == names(indexed.query(query))
+        assert names(scan(repo, query)) == names(repo.query(query))
 
     def test_index_reduces_work(self):
-        scan, indexed = build_repos(sample_ads())
-        query = BrokerQuery(ontology_name="healthcare")
-        scan.query(query)
-        indexed.query(query)
-        assert (indexed.stats.advertisements_reasoned_over
-                < scan.stats.advertisements_reasoned_over)
-        assert indexed.stats.candidates_pruned > 0
-        assert scan.stats.candidates_pruned == 0
+        repo = build_repo(sample_ads())
+        repo.query(BrokerQuery(ontology_name="healthcare"))
+        assert repo.stats.advertisements_reasoned_over < repo.agent_count
+        assert repo.stats.candidates_pruned > 0
 
     def test_unrestricted_ads_always_candidates(self):
-        _, indexed = build_repos(sample_ads())
+        repo = build_repo(sample_ads())
         query = BrokerQuery(ontology_name="finance")
-        matched = set(names(indexed.query(query)))
+        matched = set(names(repo.query(query)))
         # agents with ontology "" (content-unrestricted) must appear.
         assert any(
             ad.agent_name in matched for ad in sample_ads()
@@ -68,9 +69,9 @@ class TestCandidateIndex:
         )
 
     def test_no_indexed_dimension_scans_everything(self):
-        _, indexed = build_repos(sample_ads())
-        indexed.query(BrokerQuery(agent_type="resource"))
-        assert indexed.stats.advertisements_reasoned_over == 12
+        repo = build_repo(sample_ads())
+        repo.query(BrokerQuery(agent_type="resource"))
+        assert repo.stats.advertisements_reasoned_over == 12
 
     def test_class_index_expands_subclass_closure(self):
         # A query over the superclass must reach subclass advertisers
@@ -82,68 +83,52 @@ class TestCandidateIndex:
         ads = [make_ad("up", classes=(parent,)),
                make_ad("down", classes=(children[0],)) if children else None,
                make_ad("none", classes=())]
-        ads = [ad for ad in ads if ad is not None]
-        scan, indexed = build_repos(ads)
+        repo = build_repo([ad for ad in ads if ad is not None])
         for requested in [parent] + children[:1]:
             query = BrokerQuery(ontology_name="healthcare", classes=(requested,))
-            assert names(scan.query(query)) == names(indexed.query(query))
+            assert names(scan(repo, query)) == names(repo.query(query))
 
     def test_capability_index_expands_cover_closure(self):
-        ads = [
+        repo = build_repo([
             make_ad("general", functions=("query-processing",)),
             make_ad("special", functions=("select",)),
             make_ad("other", functions=("data-mining",)),
-        ]
-        scan, indexed = build_repos(ads)
+        ])
         # "select" is served by the exact advertiser and by the
         # query-processing generalist, not by the data miner.
         query = BrokerQuery(capabilities=("select",))
-        assert set(names(indexed.query(query))) == {"general", "special"}
-        assert names(scan.query(query)) == names(indexed.query(query))
+        assert set(names(repo.query(query))) == {"general", "special"}
+        assert names(scan(repo, query)) == names(repo.query(query))
         # An agent advertising only a *descendant* does not cover the
         # more general request.
         general = BrokerQuery(capabilities=("relational",))
-        assert "special" not in names(indexed.query(general))
+        assert "special" not in names(repo.query(general))
 
     def test_conversation_index(self):
-        ads = [make_ad("a", conversations=("ask-all", "subscribe")),
-               make_ad("b", conversations=("ask-all",))]
-        scan, indexed = build_repos(ads)
+        repo = build_repo([make_ad("a", conversations=("ask-all", "subscribe")),
+                           make_ad("b", conversations=("ask-all",))])
         query = BrokerQuery(conversations=("subscribe",))
-        assert names(indexed.query(query)) == ["a"]
-        assert indexed.stats.advertisements_reasoned_over == 1
-        assert names(scan.query(query)) == names(indexed.query(query))
+        assert names(repo.query(query)) == ["a"]
+        assert repo.stats.advertisements_reasoned_over == 1
+        assert names(scan(repo, query)) == names(repo.query(query))
 
-    def test_ontology_only_mode_matches_deprecated_alias(self):
-        ads = sample_ads()
-        _, via_mode = build_repos(ads, index_mode="ontology")
-        _, via_alias = build_repos(ads, index_by_ontology=True)
-        assert via_mode.index_mode == via_alias.index_mode == "ontology"
-        _, disabled = build_repos(ads, index_by_ontology=False)
-        assert disabled.index_mode == "none"
-        query = BrokerQuery(ontology_name="healthcare", capabilities=("relational",))
-        assert names(via_mode.query(query)) == names(via_alias.query(query))
-        # Ontology-only mode does not prune on capabilities.
-        via_mode.stats.advertisements_reasoned_over = 0
-        via_mode.query(BrokerQuery(capabilities=("relational",)))
-        assert via_mode.stats.advertisements_reasoned_over == len(ads)
-
-    def test_unknown_index_mode_rejected(self):
+    def test_removed_direct_engine_rejected(self):
+        # The candidate-index engine is gone; naming it is an error.
         with pytest.raises(BrokeringError):
-            BrokerRepository(index_mode="bogus")
+            BrokerRepository(engine="direct")
 
 
 class TestAdvertisementLifecycle:
     def test_index_tracks_updates_and_removal(self):
-        _, indexed = build_repos(sample_ads())
+        repo = build_repo(sample_ads())
         # Re-advertise agent0 under a different ontology.
-        indexed.advertise(make_ad("agent0", ontology="finance"))
-        healthcare = set(names(indexed.query(BrokerQuery(ontology_name="healthcare"))))
+        repo.advertise(make_ad("agent0", ontology="finance"))
+        healthcare = set(names(repo.query(BrokerQuery(ontology_name="healthcare"))))
         assert "agent0" not in healthcare
-        finance = set(names(indexed.query(BrokerQuery(ontology_name="finance"))))
+        finance = set(names(repo.query(BrokerQuery(ontology_name="finance"))))
         assert "agent0" in finance
-        indexed.unadvertise("agent0")
-        finance = set(names(indexed.query(BrokerQuery(ontology_name="finance"))))
+        repo.unadvertise("agent0")
+        finance = set(names(repo.query(BrokerQuery(ontology_name="finance"))))
         assert "agent0" not in finance
 
     def test_readvertise_cycles_keep_indexes_consistent(self):
@@ -187,7 +172,7 @@ class TestAdvertisementLifecycle:
 
 class TestMatchCache:
     def test_repeated_query_hits_cache(self):
-        _, repo = build_repos(sample_ads())
+        repo = build_repo(sample_ads())
         query = BrokerQuery(ontology_name="healthcare")
         first = repo.query(query)
         reasoned = repo.stats.advertisements_reasoned_over
@@ -198,13 +183,13 @@ class TestMatchCache:
         assert repo.stats.advertisements_reasoned_over == reasoned
 
     def test_equivalent_queries_share_cache_entry(self):
-        _, repo = build_repos(sample_ads())
+        repo = build_repo(sample_ads())
         repo.query(BrokerQuery(capabilities=("select", "join")))
         repo.query(BrokerQuery(capabilities=("join", "select")))
         assert repo.stats.cache_hits == 1
 
     def test_advertise_bumps_generation_and_invalidates(self):
-        _, repo = build_repos(sample_ads())
+        repo = build_repo(sample_ads())
         query = BrokerQuery(ontology_name="healthcare", classes=("patient",))
         before = set(names(repo.query(query)))
         generation = repo.generation
@@ -216,7 +201,7 @@ class TestMatchCache:
         assert repo.stats.cache_hits == 0
 
     def test_unadvertise_bumps_generation_and_invalidates(self):
-        _, repo = build_repos(sample_ads())
+        repo = build_repo(sample_ads())
         query = BrokerQuery(ontology_name="healthcare")
         matched = names(repo.query(query))
         assert matched
@@ -227,18 +212,19 @@ class TestMatchCache:
 
     def test_broker_ad_churn_also_invalidates(self):
         # Conservative: any repository mutation bumps the generation.
-        _, repo = build_repos(sample_ads())
+        repo = build_repo(sample_ads())
         generation = repo.generation
         repo.advertise(broker_ad("b-late"))
         assert repo.generation > generation
 
-    @pytest.mark.parametrize("engine", ["direct", "columnar"])
+    @pytest.mark.parametrize("engine", ["columnar"])
     def test_ontology_mutation_bumps_generation_and_invalidates(self, engine):
         """Regression: the generation stamp must also move when the
         shared ontology mutates, not only on advertise traffic — a
-        cached match list (or compiled columnar plane) built under the
-        old class hierarchy would otherwise survive an ontology update
-        and serve stale answers."""
+        cached match list built under the old class hierarchy would
+        otherwise survive an ontology update and serve stale answers.
+        (The plane itself stores only exact class names, so it needs no
+        rebuild.)"""
         from repro.ontology import OntClass
 
         ontology = healthcare_ontology()
@@ -256,7 +242,7 @@ class TestMatchCache:
         assert repo.generation > generation
         assert names(repo.query(query)) == ["late-vocab"]
 
-    @pytest.mark.parametrize("engine", ["direct", "columnar"])
+    @pytest.mark.parametrize("engine", ["columnar"])
     def test_ontology_reload_bumps_generation(self, engine):
         """Swapping in a *new* ontology object under the same name (an
         ontology-server reload) must invalidate too, even though no
@@ -275,7 +261,7 @@ class TestMatchCache:
         assert repo.stats.cache_hits == 0
 
     def test_cache_disabled(self):
-        _, repo = build_repos(sample_ads(), match_cache_size=0)
+        repo = build_repo(sample_ads(), match_cache_size=0)
         query = BrokerQuery(ontology_name="healthcare")
         repo.query(query)
         repo.query(query)
@@ -283,7 +269,7 @@ class TestMatchCache:
         assert repo.stats.cache_misses == 0
 
     def test_cache_eviction_is_bounded(self):
-        _, repo = build_repos(sample_ads(), match_cache_size=2)
+        repo = build_repo(sample_ads(), match_cache_size=2)
         for ontology in ("healthcare", "aerospace", "finance"):
             repo.query(BrokerQuery(ontology_name=ontology))
         assert len(repo._match_cache) <= 2
@@ -292,7 +278,7 @@ class TestMatchCache:
         assert repo.stats.cache_hits == 0
 
     def test_cached_results_are_copies(self):
-        _, repo = build_repos(sample_ads())
+        repo = build_repo(sample_ads())
         query = BrokerQuery(ontology_name="healthcare")
         first = repo.query(query)
         first.append("sentinel")
@@ -305,12 +291,11 @@ class TestMatchCache:
     query_ontology=st.sampled_from(["healthcare", "aerospace", "finance"]),
 )
 def test_property_index_is_invisible(ontologies, query_ontology):
-    ads = [make_ad(f"a{i}", ontology=o, classes=())
-           for i, o in enumerate(ontologies)]
-    scan, indexed = build_repos(ads)
+    repo = build_repo([make_ad(f"a{i}", ontology=o, classes=())
+                       for i, o in enumerate(ontologies)])
     for query in (
         BrokerQuery(ontology_name=query_ontology),
         BrokerQuery(agent_type="resource"),
         BrokerQuery(ontology_name=query_ontology, content_language="SQL 2.0"),
     ):
-        assert names(scan.query(query)) == names(indexed.query(query))
+        assert names(scan(repo, query)) == names(repo.query(query))

@@ -443,11 +443,12 @@ class TestPhaseProfiler:
             assert PROFILER is before
         assert not PROFILER.enabled
 
-    def test_columnar_query_emits_build_and_sweep_phases(self):
-        """A columnar-engine query run emits ``match.columnar.build``
-        (lazy plane compilation) and ``match.columnar.sweep`` (the
-        vectorized match), and the recorded stacks reconcile: every
-        stack's total covers its self time plus its children's totals."""
+    def test_columnar_query_emits_sweep_phase(self):
+        """A columnar-engine query run emits ``match.columnar.sweep``
+        (the vectorized match) and no build phase — the plane is kept
+        current on every advertise — and the recorded stacks reconcile:
+        every stack's total covers its self time plus its children's
+        totals."""
         from repro.core import BrokerQuery, BrokerRepository
         from tests.test_core_matcher import make_ad
 
@@ -461,9 +462,8 @@ class TestPhaseProfiler:
             repo.query(BrokerQuery(agent_type="resource"))
         stats = PROFILER.stacks()
         names = {stack[-1] for stack in stats}
-        assert "match.columnar.build" in names
-        assert "match.columnar.sweep" in names
-        assert "cache.lookup" in names
+        assert names == {"match.columnar.sweep", "cache.lookup"}
+        assert stats[("match.columnar.sweep",)].calls == 2
         for stack, stat in stats.items():
             children = sum(
                 child.total
@@ -473,10 +473,6 @@ class TestPhaseProfiler:
             )
             assert stat.self_time >= 0.0
             assert stat.total + 1e-9 >= stat.self_time + children
-        # The build phase nests inside the sweep-triggering query, not
-        # the other way round: a sweep never appears under a build.
-        assert all("match.columnar.build" != stack[0] or len(stack) == 1
-                   for stack in stats if "match.columnar.sweep" in stack)
 
 
 class TestSLO:
