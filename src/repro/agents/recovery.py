@@ -23,7 +23,10 @@ Two recovery paths beyond "wait for agents to re-advertise":
 
 from __future__ import annotations
 
+import contextlib
 import os
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -33,7 +36,7 @@ from repro.core.advertisement import (
     advertisement_to_sexpr,
 )
 from repro.core.errors import BrokeringError
-from repro.kqml.sexpr import parse_sexpr, render_sexpr
+from repro.kqml.sexpr import brief_sexpr, parse_sexpr, render_sexpr
 from repro.obs.profiler import PROFILER
 
 OP_ADVERTISE = "advertise"
@@ -80,15 +83,18 @@ def record_to_sexpr(record: JournalRecord) -> list:
 
 
 def record_from_sexpr(expr) -> JournalRecord:
-    if not isinstance(expr, list) or len(expr) not in (4, 5):
-        raise BrokeringError(f"malformed journal record: {expr!r}")
+    """Inverse of :func:`record_to_sexpr`; malformed input raises
+    :class:`BrokeringError`."""
+    if (not isinstance(expr, list) or len(expr) not in (4, 5)
+            or any(isinstance(field, list) for field in expr[:4])):
+        raise BrokeringError(f"malformed journal record: {brief_sexpr(expr)}")
     ad = advertisement_from_sexpr(expr[4]) if len(expr) == 5 else None
+    try:
+        seq, at = int(expr[2]), float(expr[3])
+    except (TypeError, ValueError) as exc:
+        raise BrokeringError(f"malformed journal record: {exc}") from exc
     return JournalRecord(
-        op=str(expr[0]),
-        agent=str(expr[1]),
-        seq=int(expr[2]),
-        at=float(expr[3]),
-        ad=ad,
+        op=str(expr[0]), agent=str(expr[1]), seq=seq, at=at, ad=ad,
     )
 
 
@@ -183,15 +189,37 @@ class AdvertisementJournal:
             if current is None or record.lww_key >= current.lww_key:
                 newest[record.agent] = record
         kept = [render_sexpr(record_to_sexpr(newest[a])) for a in order]
+        if self.path is not None:
+            self._replace_file(kept)
         dropped = len(self._lines) - len(kept)
         self._lines = kept
         self.stats.compactions += 1
         self.stats.records_dropped += dropped
-        if self.path is not None:
-            with open(self.path, "w", encoding="utf-8") as handle:
-                for line in kept:
-                    handle.write(line + "\n")
         return dropped
+
+    def _replace_file(self, lines: List[str]) -> None:
+        """Swap the journal file for one holding *lines*, atomically.
+
+        The new file is written and fsynced beside the old one, then
+        renamed over it, so a crash or write error at any point leaves
+        either the old journal or the new one, each whole; on an error
+        the temporary file is removed and the old journal stays.
+        """
+        directory, name = os.path.split(os.path.abspath(self.path))
+        fd, tmp = tempfile.mkstemp(prefix=name + ".", suffix=".tmp", dir=directory)
+        try:
+            with open(fd, "w", encoding="utf-8") as handle:
+                for line in lines:
+                    handle.write(line + "\n")
+                handle.flush()
+                os.fsync(handle.fileno())
+            if os.path.exists(self.path):
+                shutil.copymode(self.path, tmp)
+            os.replace(tmp, self.path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
 
 
 # ----------------------------------------------------------------------

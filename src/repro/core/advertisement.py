@@ -30,6 +30,7 @@ from repro.constraints import (
     IntervalSet,
 )
 from repro.core.errors import BrokeringError
+from repro.kqml.sexpr import brief_sexpr
 from repro.ontology.service import (
     AgentLocation,
     AgentProperties,
@@ -104,6 +105,13 @@ class Advertisement:
 # ``(value)`` otherwise — a bare ``-inf`` atom would coerce to a float.
 
 
+def _atom(expr) -> str:
+    """A string field; nested lists are malformed there."""
+    if isinstance(expr, list):
+        raise BrokeringError(f"expected an atom: {brief_sexpr(expr)}")
+    return str(expr)
+
+
 def _value_to_sexpr(value):
     if isinstance(value, bool):
         return ["b", 1 if value else 0]
@@ -114,7 +122,7 @@ def _value_from_sexpr(expr):
     if isinstance(expr, list):
         if len(expr) == 2 and expr[0] == "b":
             return bool(expr[1])
-        raise BrokeringError(f"malformed constraint value: {expr!r}")
+        raise BrokeringError(f"malformed constraint value: {brief_sexpr(expr)}")
     return expr
 
 
@@ -124,7 +132,7 @@ def _opt_to_sexpr(value) -> list:
 
 def _opt_from_sexpr(expr):
     if not isinstance(expr, list) or len(expr) > 1:
-        raise BrokeringError(f"malformed optional value: {expr!r}")
+        raise BrokeringError(f"malformed optional value: {brief_sexpr(expr)}")
     return _value_from_sexpr(expr[0]) if expr else None
 
 
@@ -152,7 +160,7 @@ def _domain_to_sexpr(domain) -> list:
 
 def _domain_from_sexpr(expr):
     if not isinstance(expr, list) or not expr:
-        raise BrokeringError(f"malformed constraint domain: {expr!r}")
+        raise BrokeringError(f"malformed constraint domain: {brief_sexpr(expr)}")
     tag, rest = expr[0], expr[1:]
     if tag == "ivs":
         return IntervalSet(
@@ -168,7 +176,7 @@ def _domain_from_sexpr(expr):
         return DiscreteSet(frozenset(_value_from_sexpr(v) for v in rest))
     if tag == "not":
         return Complement(frozenset(_value_from_sexpr(v) for v in rest))
-    raise BrokeringError(f"unknown constraint domain tag {tag!r}")
+    raise BrokeringError(f"unknown constraint domain tag {brief_sexpr(tag)}")
 
 
 def constraint_to_sexpr(constraint: Constraint) -> list:
@@ -181,7 +189,7 @@ def constraint_to_sexpr(constraint: Constraint) -> list:
 
 def constraint_from_sexpr(expr) -> Constraint:
     if not isinstance(expr, list) or not expr or expr[0] != "cst":
-        raise BrokeringError(f"malformed constraint: {expr!r}")
+        raise BrokeringError(f"malformed constraint: {brief_sexpr(expr)}")
     return Constraint(
         {slot: _domain_from_sexpr(domain) for slot, domain in expr[1:]}
     )
@@ -189,8 +197,8 @@ def constraint_from_sexpr(expr) -> Constraint:
 
 def _strings(expr) -> Tuple[str, ...]:
     if not isinstance(expr, list):
-        raise BrokeringError(f"expected a list of strings: {expr!r}")
-    return tuple(str(item) for item in expr)
+        raise BrokeringError(f"expected a list of strings: {brief_sexpr(expr)}")
+    return tuple(_atom(item) for item in expr)
 
 
 def advertisement_to_sexpr(ad: Advertisement) -> list:
@@ -228,27 +236,43 @@ def advertisement_to_sexpr(ad: Advertisement) -> list:
 
 
 def advertisement_from_sexpr(expr) -> Advertisement:
-    """Inverse of :func:`advertisement_to_sexpr`."""
+    """Inverse of :func:`advertisement_to_sexpr`.
+
+    Malformed input, however deeply nested, raises
+    :class:`BrokeringError`.
+    """
+    try:
+        return _advertisement_from_sexpr(expr)
+    except BrokeringError:
+        raise
+    except (TypeError, ValueError, IndexError) as exc:
+        # Wrong arity, a list where a number belongs, unorderable bounds.
+        raise BrokeringError(
+            f"malformed advertisement s-expression: {exc}"
+        ) from exc
+
+
+def _advertisement_from_sexpr(expr) -> Advertisement:
     if not isinstance(expr, list) or len(expr) != 8 or expr[0] != "ad":
-        raise BrokeringError(f"malformed advertisement s-expression: {expr!r}")
+        raise BrokeringError(f"malformed advertisement s-expression: {brief_sexpr(expr)}")
     _tag, meta, loc, syn, cap, con, prp, brk = expr
     for block, tag in ((meta, "meta"), (loc, "loc"), (syn, "syn"),
                        (cap, "cap"), (con, "con"), (prp, "prp"),
                        (brk, "brk")):
         if not isinstance(block, list) or not block or block[0] != tag:
-            raise BrokeringError(f"malformed {tag!r} block: {block!r}")
+            raise BrokeringError(f"malformed {tag!r} block: {brief_sexpr(block)}")
     broker: Optional[BrokerExtensions] = None
     if len(brk) > 1:
         broker = BrokerExtensions(
-            community=str(brk[1]),
+            community=_atom(brk[1]),
             consortia=_strings(brk[2]),
             specializations=_strings(brk[3]),
             supported_ontologies=_strings(brk[4]),
         )
     description = ServiceDescription(
         location=AgentLocation(
-            name=str(loc[1]), address=str(loc[2]),
-            transport=str(loc[3]), agent_type=str(loc[4]),
+            name=_atom(loc[1]), address=_atom(loc[2]),
+            transport=_atom(loc[3]), agent_type=_atom(loc[4]),
         ),
         syntax=SyntacticInfo(
             content_languages=_strings(syn[1]),
@@ -260,7 +284,7 @@ def advertisement_from_sexpr(expr) -> Advertisement:
             restrictions=_strings(cap[3]),
         ),
         content=ContentInfo(
-            ontology_name=str(con[1]),
+            ontology_name=_atom(con[1]),
             classes=_strings(con[2]),
             slots=_strings(con[3]),
             keys=_strings(con[4]),

@@ -40,6 +40,18 @@ Storage is pluggable: the default :class:`MemoryAdStore` keeps
 advertisements resident in dicts; :class:`repro.core.store.SQLiteAdStore`
 keeps them in a SQLite database via the lossless s-expression codec and
 only materializes the advertisements a query returns.
+
+Repository volume
+-----------------
+Every recommend charges reasoning cost in proportion to
+:meth:`BrokerRepository.size_mb`, but the stores compute it by summing
+over every stored advertisement.  The repository memoizes the store's
+answer and clears the memo on every write (advertise / unadvertise), so
+a read-mostly repository sums once per write instead of once per
+recommend.  The memo is deliberately not a running ``+=``/``-=`` total:
+float addition is not associative, so a running total would drift from
+the store's sum in the last bits and shift virtual times.  The memo
+returns exactly the float the store computes.
 """
 
 from __future__ import annotations
@@ -191,6 +203,9 @@ class BrokerRepository:
         #: cached match lists carry the generation they were computed at
         #: and are ignored (and eventually evicted) once it changes.
         self._generation = 0
+        #: ``self._store.size_mb()`` as of the last write, or None once a
+        #: write has made it stale (see :meth:`size_mb`).
+        self._size_mb: Optional[float] = None
         self._knowledge_stamp = self._context_stamp()
         self._match_cache: "OrderedDict[tuple, Tuple[int, Tuple[Match, ...]]]" = (
             OrderedDict()
@@ -212,7 +227,12 @@ class BrokerRepository:
 
     @property
     def store(self):
-        """The advertisement storage backend (read-mostly access)."""
+        """The advertisement storage backend, for reads only.
+
+        Every write must go through the repository (:meth:`advertise`,
+        :meth:`unadvertise`): a write made directly on the store would
+        bypass the matching backend and leave :meth:`size_mb` stale.
+        """
         return self._store
 
     def clone_empty(self) -> "BrokerRepository":
@@ -261,7 +281,9 @@ class BrokerRepository:
         return self._generation
 
     def _bump_generation(self) -> None:
+        """Record a write: stale cached matches and repository volume."""
         self._generation += 1
+        self._size_mb = None
 
     # ------------------------------------------------------------------
     # advertisement lifecycle
@@ -313,8 +335,14 @@ class BrokerRepository:
         transaction.  Journal replay uses this so a persistent backend
         turns a thousand journal lines into one bulk ``INSERT`` instead
         of a thousand commits; resident storage treats it as a no-op."""
-        with self._store.bulk():
-            yield self
+        try:
+            with self._store.bulk():
+                yield self
+        except BaseException:
+            # A persistent store rolls the transaction back, so the
+            # volume read inside it may count rows that are gone.
+            self._size_mb = None
+            raise
 
     def knows(self, agent_name: str) -> bool:
         return (
@@ -350,8 +378,18 @@ class BrokerRepository:
         return self._store.agent_count
 
     def size_mb(self) -> float:
-        """Total stored advertisement volume (agents + brokers)."""
-        return self._store.size_mb()
+        """Total stored advertisement volume (agents + brokers).
+
+        Memoized: the store sums its advertisements on the first read
+        after a write, and later reads return that same float until the
+        next write clears it.  It is never a running total, because
+        adding and subtracting sizes in write order would not reproduce
+        the store's summation bit for bit.
+        """
+        size = self._size_mb
+        if size is None:
+            size = self._size_mb = self._store.size_mb()
+        return size
 
     # ------------------------------------------------------------------
     # matchmaking

@@ -14,6 +14,7 @@ wire text and :class:`~repro.kqml.message.KqmlMessage`.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Any, List, Tuple, Union
 
 from repro.kqml.errors import KqmlParseError
@@ -106,19 +107,76 @@ def _coerce_atom(atom: str) -> Sexpr:
 
 
 def render_sexpr(expr: Sexpr) -> str:
-    """Serialize a nested list/atom structure back to wire text."""
-    if isinstance(expr, list):
-        return "(" + " ".join(render_sexpr(e) for e in expr) + ")"
+    """Serialize a nested list/atom structure back to wire text.
+
+    Iterative, with the open lists' iterators on an explicit stack, so
+    anything :func:`parse_sexpr` accepts renders back whatever its
+    depth.  A list that contains itself cannot be rendered and raises
+    :class:`KqmlParseError`.
+    """
+    if not isinstance(expr, list):
+        return _render_atom(expr)
+    out = ["("]
+    append = out.append
+    stack = [iter(expr)]
+    path = [expr]  # the open lists, outermost first
+    while stack:
+        for item in stack[-1]:
+            if out[-1] != "(":
+                append(" ")
+            if type(item) is str:
+                append(_render_str(item))
+            elif isinstance(item, list):
+                append("(")
+                stack.append(iter(item))
+                path.append(item)
+                # A self-containing list would deepen the path forever;
+                # looking for a repeat every 1,024 levels stays O(1)
+                # amortized per list.
+                if not len(path) % 1024 and len(set(map(id, path))) < len(path):
+                    raise KqmlParseError("cannot render a list that contains itself")
+                break
+            else:
+                append(_render_atom(item))
+        else:
+            stack.pop()
+            path.pop()
+            append(")")
+    return "".join(out)
+
+
+def _render_atom(expr: Sexpr) -> str:
     if isinstance(expr, bool):
         return "true" if expr else "false"
     if isinstance(expr, (int, float)):
         return repr(expr)
     if isinstance(expr, str):
-        if expr and _ATOM_RE.fullmatch(expr) and not _looks_numeric(expr):
-            return expr
-        escaped = expr.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        return _render_str(expr)
     raise KqmlParseError(f"cannot render {type(expr).__name__} in an s-expression")
+
+
+@lru_cache(maxsize=4096)
+def _render_str(expr: str) -> str:
+    """A string as a bare atom, or quoted when it would not parse back
+    as the same string.  Cached: messages and journal records repeat
+    the same tags and names, and the numeric test is the costly step."""
+    if expr and _ATOM_RE.fullmatch(expr) and not _looks_numeric(expr):
+        return expr
+    escaped = expr.replace("\\", "\\\\").replace('"', '\\"')
+    return f'"{escaped}"'
+
+
+def brief_sexpr(expr: Any, limit: int = 80) -> str:
+    """*expr* as wire text cut to *limit* characters, for error messages.
+
+    ``repr`` recurses, so on deeply nested input it would turn a decode
+    error into a :class:`RecursionError`; this does not.
+    """
+    try:
+        text = render_sexpr(expr)
+    except KqmlParseError:
+        return f"<{type(expr).__name__}>"
+    return text if len(text) <= limit else text[:limit] + " ..."
 
 
 def _looks_numeric(atom: str) -> bool:

@@ -18,6 +18,34 @@ from repro.kqml import (
 )
 
 
+SEXPR_ATOMS = (
+    st.text(max_size=8)
+    | st.sampled_from(["ask-all", ":content", "42", "-1.5", "nan", "()", 'a"b', "a\\b", ""])
+    | st.integers()
+    | st.floats()
+    | st.booleans()
+)
+SEXPR_TREES = st.recursive(SEXPR_ATOMS, lambda children: st.lists(children, max_size=5),
+                           max_leaves=40)
+
+
+def reference_render(expr):
+    """The recursive renderer the iterative one replaced."""
+    if isinstance(expr, list):
+        return "(" + " ".join(reference_render(e) for e in expr) + ")"
+    if isinstance(expr, bool):
+        return "true" if expr else "false"
+    if isinstance(expr, (int, float)):
+        return repr(expr)
+    if expr and re.fullmatch(r"""[^\s()"]+""", expr):
+        try:
+            float(expr)
+        except ValueError:
+            return expr
+    escaped = expr.replace("\\", "\\\\").replace('"', '\\"')
+    return f'"{escaped}"'
+
+
 def ask(content="select * from C2", **kw):
     defaults = dict(sender="user1", receiver="broker1", language="SQL 2.0")
     defaults.update(kw)
@@ -127,6 +155,47 @@ class TestSexpr:
     def test_render_quotes_strings_with_spaces(self):
         assert render_sexpr("two words") == '"two words"'
         assert render_sexpr("oneword") == "oneword"
+
+    @given(SEXPR_TREES)
+    def test_render_matches_recursive_reference(self, expr):
+        """The iterative renderer writes exactly what the recursive one
+        did: journal lines and wire text depend on it."""
+        assert render_sexpr(expr) == reference_render(expr)
+
+    @given(SEXPR_TREES)
+    def test_render_parse_render_is_stable(self, expr):
+        text = render_sexpr(expr)
+        assert render_sexpr(parse_sexpr(text)) == text
+
+    @pytest.mark.parametrize("depth", [5_000, 200_000])
+    def test_deep_nesting_renders(self, depth):
+        """Regression: the recursive renderer hit RecursionError at
+        depth 5,000 on content that parse_sexpr accepts."""
+        text = "(" * depth + "leaf" + ")" * depth
+        assert render_sexpr(parse_sexpr(text)) == text
+        message = loads(f"(tell :sender a :receiver b :content {text})")
+        assert dumps(message) == f"(tell :sender a :receiver b :content {text})"
+
+    def test_render_shared_sublist_twice(self):
+        shared = ["x", 1]
+        assert render_sexpr([shared, [shared]]) == "((x 1) ((x 1)))"
+
+    def test_render_self_containing_list_raises(self):
+        loop = ["a"]
+        loop.append(loop)
+        with pytest.raises(KqmlParseError):
+            render_sexpr(loop)
+        deep_loop = inner = []
+        for _ in range(3_000):
+            inner.append([])
+            inner = inner[0]
+        inner.append(deep_loop)
+        with pytest.raises(KqmlParseError):
+            render_sexpr(deep_loop)
+
+    def test_render_unsupported_type_raises(self):
+        with pytest.raises(KqmlParseError):
+            render_sexpr(["a", ("tuple",)])
 
     def test_render_quotes_numeric_looking_strings(self):
         # "42" the string must not come back as 42 the int.

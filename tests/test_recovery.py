@@ -13,6 +13,7 @@ semantics untouched.
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.agents import (
     Agent,
@@ -153,6 +154,64 @@ class TestAdvertisementCodec:
         with pytest.raises(BrokeringError):
             advertisement_from_sexpr(["ad", ["meta"]])
 
+    @pytest.mark.parametrize("site", [
+        "{deep}",                                    # the whole expression
+        "(ad {deep} (loc n a b c) (syn () ()) (cap () () ()) "
+        "(con o () () () (cst)) (prp (b 0) (b 0) () ()) (brk))",
+        "(ad (meta 1 0.1 2.0 ()) (loc {deep} a b c) (syn () ()) "
+        "(cap () () ()) (con o () () () (cst)) (prp (b 0) (b 0) () ()) (brk))",
+        "(ad (meta 1 0.1 2.0 ()) (loc n a b c) (syn ({deep}) ()) "
+        "(cap () () ()) (con o () () () (cst)) (prp (b 0) (b 0) () ()) (brk))",
+        "(ad (meta 1 0.1 2.0 ()) (loc n a b c) (syn () ()) (cap () () ()) "
+        "(con o () () () (cst (s (set {deep})))) (prp (b 0) (b 0) () ()) (brk))",
+        "(ad (meta 1 0.1 2.0 ()) (loc n a b c) (syn () ()) (cap () () ()) "
+        "(con o () () () (cst (s ({deep})))) (prp (b 0) (b 0) () ()) (brk))",
+        "(ad (meta 1 0.1 2.0 ({deep})) (loc n a b c) (syn () ()) "
+        "(cap () () ()) (con o () () () (cst)) (prp (b 0) (b 0) () ()) (brk))",
+    ])
+    def test_deep_nesting_raises_brokering_error(self, site):
+        """Regression: error messages used ``repr``, which recursed, so
+        depth-5,000 input raised RecursionError instead of the declared
+        BrokeringError."""
+        deep = "(" * 5_000 + "x" + ")" * 5_000
+        expr = parse_sexpr(site.format(deep=deep))
+        with pytest.raises(BrokeringError) as info:
+            advertisement_from_sexpr(expr)
+        assert len(str(info.value)) < 200
+        with pytest.raises(BrokeringError):
+            record_from_sexpr(["advertise", "n", 1, 2.0, expr])
+
+    def test_deep_journal_record_raises_brokering_error(self):
+        deep = parse_sexpr("(" * 5_000 + ")" * 5_000)
+        for expr in (deep, [deep, "a", 1, 2.0], ["advertise", deep, 1, 2.0],
+                     ["unadvertise", "a", "one", 2.0]):
+            with pytest.raises(BrokeringError):
+                record_from_sexpr(expr)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mutated_advertisement_raises_only_brokering_error(self, data):
+        """Replace one node of a valid encoding with arbitrary
+        s-expression data: decoding succeeds or raises BrokeringError,
+        never another exception type."""
+        broker = data.draw(st.booleans())
+        expr = advertisement_to_sexpr(
+            Advertisement(full_description(broker=broker), size_mb=0.1))
+        parent = expr
+        while True:
+            index = data.draw(st.integers(0, len(parent) - 1))
+            child = parent[index]
+            if not isinstance(child, list) or not child or data.draw(st.booleans()):
+                break
+            parent = child
+        parent[index] = data.draw(st.recursive(
+            st.text(max_size=4) | st.integers() | st.floats(),
+            lambda children: st.lists(children, max_size=4), max_leaves=12))
+        try:
+            advertisement_from_sexpr(expr)
+        except BrokeringError:
+            pass
+
     def test_journal_record_round_trip(self):
         ad = Advertisement(full_description(), size_mb=0.1,
                            advertised_at=50.0, seq=2)
@@ -230,6 +289,71 @@ class TestJournal:
         assert len(rewritten) == 2
         assert not {r.agent: r for r in rewritten.replay()}["gone"].deleted
 
+
+    @pytest.mark.parametrize("failure", ["write", "fsync", "replace"])
+    def test_failed_compaction_keeps_old_journal(self, tmp_path, monkeypatch, failure):
+        """Regression: compaction rewrote the file in place, so a crash
+        mid-rewrite lost every record.  Inject a failure at each step of
+        the rewrite: the old file must reopen with every record."""
+        from repro.agents import recovery
+
+        path = tmp_path / "broker0.journal"
+        journal = AdvertisementJournal(str(path))
+        for i in range(6):
+            journal.record_advertise(_ad(f"r{i % 3}", 10.0 + i, i))
+        before = path.read_bytes()
+
+        def fail(*args, **kwargs):
+            raise OSError(f"injected {failure} failure")
+
+        if failure == "write":
+            class FailingHandle:
+                """Writes the first line, then fails."""
+
+                def __init__(self, handle):
+                    self.handle, self.writes = handle, 0
+
+                def write(self, text):
+                    self.writes += 1
+                    if self.writes > 1:
+                        fail()
+                    return self.handle.write(text)
+
+                def __enter__(self):
+                    return self
+
+                def __exit__(self, *exc):
+                    return self.handle.__exit__(*exc)
+
+                def __getattr__(self, name):
+                    return getattr(self.handle, name)
+
+            monkeypatch.setattr(
+                recovery, "open",
+                lambda *a, **k: FailingHandle(open(*a, **k)), raising=False)
+        else:
+            monkeypatch.setattr(recovery.os, failure, fail)
+        with pytest.raises(OSError, match="injected"):
+            journal.compact()
+        monkeypatch.undo()
+
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["broker0.journal"]
+        assert len(journal) == 6 and journal.stats.compactions == 0
+        reopened = AdvertisementJournal(str(path))
+        assert [(r.agent, r.seq) for r in reopened.replay()] == [
+            (f"r{i % 3}", i) for i in range(6)]
+        assert reopened.compact() == 3
+        assert [r.seq for r in AdvertisementJournal(str(path)).replay()] == [3, 4, 5]
+
+    def test_compaction_keeps_file_mode(self, tmp_path):
+        path = tmp_path / "broker0.journal"
+        journal = AdvertisementJournal(str(path))
+        journal.record_advertise(_ad("r1", 1.0, 1))
+        journal.record_advertise(_ad("r1", 2.0, 2))
+        path.chmod(0o640)
+        journal.compact()
+        assert path.stat().st_mode & 0o777 == 0o640
 
     def test_torn_tail_is_cut_at_every_offset(self, tmp_path):
         """Regression: a file whose last append was cut short could not
